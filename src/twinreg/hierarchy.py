@@ -7,6 +7,13 @@ After the first fit of each layer, points far from the epsilon tube are
 pruned and the layer is refit on the kept set with the loss weight scaled up
 by the kept fraction's inverse, which cuts support vectors without giving up
 accuracy.  The final prediction is the sum over layers.
+
+Every layer trains in the reduced eigenbasis of its kernel matrix (see
+:mod:`twinreg.tsvr`); the report row of each layer carries its
+``design_rank``, the number of eigenpairs its final model was solved with.
+The first-pass design of layer v depends only on the inputs and tau_v, so a
+caller fitting many configs on the same inputs passes one ``designs`` dict to
+every ``train_hierarchy`` call and each scale is factored once.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import tsvr
-from .tsvr import DimensionMismatch, KernelSpec, TrainingSet, TsvrModel, TsvrParams
+from .tsvr import KernelSpec, TrainingSet, TsvrModel, TsvrParams
 
 
 class InvalidDivisor(Exception):
@@ -188,7 +195,11 @@ def _layer_params(config: HierarchyConfig, b: float, tau: float) -> TsvrParams:
     )
 
 
-def train_hierarchy(ts: TrainingSet, config: HierarchyConfig) -> HfTsvrModel:
+def train_hierarchy(
+    ts: TrainingSet,
+    config: HierarchyConfig,
+    designs: dict[float, tsvr.Design] | None = None,
+) -> HfTsvrModel:
     """Train layers on successive residuals until a stopping rule fires.
 
     Stops when the residual variance falls below the floor, when the
@@ -196,7 +207,14 @@ def train_hierarchy(ts: TrainingSet, config: HierarchyConfig) -> HfTsvrModel:
     residuals go constant, or at ``max_layers``.  A layer that fails to
     reduce the residual variance is discarded and training stops; kept
     layers therefore strictly decrease the variance.
+
+    ``designs`` maps tau to the first-pass design of ``ts.a`` at that scale;
+    missing scales are built and added.  Share one dict only between calls
+    with the same inputs ``ts.a``.  Second passes fit subsets and always
+    build their own designs.
     """
+    if designs is None:
+        designs = {}
     tau1 = config.tau1 if config.tau1 is not None else auto_tau1(ts)
     taus = scale_schedule(tau1, config.scale_divisor, config.max_layers)
     var_y = float(np.var(ts.y))
@@ -223,10 +241,15 @@ def train_hierarchy(ts: TrainingSet, config: HierarchyConfig) -> HfTsvrModel:
 
         b_v = layer_tradeoff(residual, config.s_factor)
         layer_ts = TrainingSet(ts.a, residual)
+        first_params = _layer_params(config, b_v, tau)
         t0 = time.perf_counter()
-        first_pass = tsvr.train(layer_ts, _layer_params(config, b_v, tau))
+        design = designs.get(tau)
+        if design is None:
+            design = designs[tau] = tsvr.make_design(layer_ts, first_params.kernel)
+        first_pass = tsvr.train(layer_ts, first_params, design=design)
 
         model_v = first_pass
+        rank = design.rank
         b_v_prime = b_v
         pruned = np.arange(ts.m)
         adopted = False
@@ -236,10 +259,10 @@ def train_hierarchy(ts: TrainingSet, config: HierarchyConfig) -> HfTsvrModel:
             pruned = prune_set(after, config.eps, config.scale_divisor, tp)
             if 0 < pruned.size < ts.m:
                 b_v_prime = second_pass_tradeoff(b_v, ts.m, pruned.size)
-                second = tsvr.train(
-                    layer_ts.subset(pruned),
-                    _layer_params(config, b_v_prime, tau),
-                )
+                kept_ts = layer_ts.subset(pruned)
+                second_params = _layer_params(config, b_v_prime, tau)
+                second_design = tsvr.make_design(kept_ts, second_params.kernel)
+                second = tsvr.train(kept_ts, second_params, design=second_design)
                 # The refit is a support-vector optimization, not a mandate:
                 # adopt it only while it retains a meaningful share of the
                 # first-pass improvement (a near-empty tube can select an
@@ -247,6 +270,7 @@ def train_hierarchy(ts: TrainingSet, config: HierarchyConfig) -> HfTsvrModel:
                 var_second = float(np.var(residual - tsvr.predict(second, ts.a)))
                 if var_in - var_second >= 0.25 * (var_in - var_first):
                     model_v, adopted = second, True
+                    rank = second_design.rank
         elapsed = time.perf_counter() - t0
 
         next_residual = residual - tsvr.predict(model_v, ts.a)
@@ -278,6 +302,7 @@ def train_hierarchy(ts: TrainingSet, config: HierarchyConfig) -> HfTsvrModel:
                 "prune_set_size": int(pruned.size),
                 "second_pass_adopted": adopted,
                 "total_points": ts.m,
+                "design_rank": rank,
                 "residual_variance_in": var_in,
                 "residual_variance_out": var_out,
                 "train_seconds": elapsed,
@@ -309,13 +334,7 @@ def train_hierarchy(ts: TrainingSet, config: HierarchyConfig) -> HfTsvrModel:
 
 def predict_hierarchy(model: HfTsvrModel, x: NDArray) -> float | NDArray[np.float64]:
     """Sum of layer predictions in layer order; 0 for an empty hierarchy."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"query has dimension {x2.shape[1]}, model expects {model.input_dim}"
-        )
+    x2, single = tsvr.query_rows(x, model.input_dim)
     total = np.zeros(x2.shape[0])
     for layer in model.layers:
         total = total + np.atleast_1d(tsvr.predict(layer.model, x2))

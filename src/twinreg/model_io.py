@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,26 +79,30 @@ def _tsvr_payload(model: TsvrModel) -> dict:
 def _tsvr_from(payload: dict) -> TsvrModel:
     diag = payload["diagnostics"]
     basis = payload["basis"]
-    return TsvrModel(
+    model = TsvrModel(
         w1=np.array(payload["w1"], dtype=float),
-        b1=payload["b1"],
+        b1=float(payload["b1"]),
         w2=np.array(payload["w2"], dtype=float),
-        b2=payload["b2"],
+        b2=float(payload["b2"]),
         kernel=KernelSpec(**payload["kernel"]),
         params=_params_from(payload["params"]),
         basis=None if basis is None else np.array(basis, dtype=float),
-        input_dim=payload["input_dim"],
+        input_dim=int(payload["input_dim"]),
         diagnostics=TsvrDiagnostics(
             alpha=np.array(diag["alpha"], dtype=float),
             gamma=np.array(diag["gamma"], dtype=float),
-            xi_star_norm=diag["xi_star_norm"],
-            eta_star_norm=diag["eta_star_norm"],
-            dual_objective_down=diag["dual_objective_down"],
-            dual_objective_up=diag["dual_objective_up"],
-            qp_iterations_down=diag["qp_iterations_down"],
-            qp_iterations_up=diag["qp_iterations_up"],
+            xi_star_norm=float(diag["xi_star_norm"]),
+            eta_star_norm=float(diag["eta_star_norm"]),
+            dual_objective_down=float(diag["dual_objective_down"]),
+            dual_objective_up=float(diag["dual_objective_up"]),
+            qp_iterations_down=int(diag["qp_iterations_down"]),
+            qp_iterations_up=int(diag["qp_iterations_up"]),
         ),
     )
+    width = model.input_dim if model.basis is None else len(model.basis)
+    if model.w1.shape != (width,) or model.w2.shape != (width,):
+        raise ValueError(f"weights do not have length {width}")
+    return model
 
 
 def _config_payload(config: HierarchyConfig) -> dict:
@@ -109,6 +113,9 @@ def _config_payload(config: HierarchyConfig) -> dict:
 
 
 def _config_from(payload: dict) -> HierarchyConfig:
+    missing = {f.name for f in fields(HierarchyConfig)} - set(payload)
+    if missing:  # a missing key would silently take its default
+        raise KeyError(f"config is missing {sorted(missing)}")
     base = payload.get("base_params")
     kwargs = dict(payload)
     kwargs["base_params"] = None if base is None else _params_from(base)
@@ -139,13 +146,13 @@ def _hierarchy_payload(model: HfTsvrModel) -> dict:
 def _hierarchy_from(payload: dict) -> HfTsvrModel:
     layers = tuple(
         LayerState(
-            index=item["index"],
-            tau=item["tau"],
-            b_v=item["b_v"],
-            b_v_prime=item["b_v_prime"],
+            index=int(item["index"]),
+            tau=float(item["tau"]),
+            b_v=float(item["b_v"]),
+            b_v_prime=float(item["b_v_prime"]),
             model=_tsvr_from(item["model"]),
             pruned_indices=np.array(item["pruned_indices"], dtype=np.intp),
-            residual_variance_in=item["residual_variance_in"],
+            residual_variance_in=float(item["residual_variance_in"]),
             second_pass_adopted=item["second_pass_adopted"],
         )
         for item in payload["layers"]
@@ -204,8 +211,13 @@ def load_model(path: str | Path) -> TsvrModel | HfTsvrModel:
     if payload is None or record.get("checksum") != _checksum(payload):
         raise CorruptModel(f"{path}: checksum mismatch")
     kind = record.get("kind")
-    if kind == "tsvr":
-        return _tsvr_from(payload)
-    if kind == "hftsvr":
-        return _hierarchy_from(payload)
-    raise CorruptModel(f"{path}: unknown model kind {kind!r}")
+    if kind not in ("tsvr", "hftsvr"):
+        raise CorruptModel(f"{path}: unknown model kind {kind!r}")
+    reader = _tsvr_from if kind == "tsvr" else _hierarchy_from
+    # A signed payload can still miss a field or hold one of the wrong type.
+    try:
+        return reader(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptModel(
+            f"{path}: invalid {kind} record ({type(exc).__name__}: {exc})"
+        ) from exc

@@ -164,12 +164,17 @@ def grid_search(
         base = hierarchy_base or HierarchyConfig()
         candidates = list(_hierarchy_cells(grid, y_std, base))
         key_of = _hierarchy_key
-        fit = lambda cfg, ts: hier_mod.train_hierarchy(ts, cfg)
+        # Every cell fits fit_set.a at the same scales, so each layer's
+        # first-pass design is factored once and shared by all cells.
+        designs: dict = {}
+        fit_cell = lambda cfg: hier_mod.train_hierarchy(fit_set, cfg, designs=designs)
+        refit = lambda cfg: hier_mod.train_hierarchy(train, cfg)
         predict = hier_mod.predict_hierarchy
     else:
         candidates = list(_tsvr_cells(grid, y_std))
         key_of = _tsvr_key
-        fit = lambda params, ts: tsvr_mod.train(ts, params)
+        fit_cell = lambda params: tsvr_mod.train(fit_set, params)
+        refit = lambda params: tsvr_mod.train(train, params)
         predict = tsvr_mod.predict
 
     cells: list[dict] = []
@@ -178,7 +183,7 @@ def grid_search(
     for candidate in candidates:
         key = key_of(candidate)
         try:
-            model = fit(candidate, fit_set)
+            model = fit_cell(candidate)
             score = _score(tune_set.y, predict(model, tune_set.a), grid.objective)
         except Exception as exc:  # noqa: BLE001 - cell failures are logged, not fatal
             failures.append({"key": key, "error": f"{type(exc).__name__}: {exc}"})
@@ -195,7 +200,7 @@ def grid_search(
     _, best_key, best_candidate = best
 
     t0 = time.perf_counter()
-    final_model = fit(best_candidate, train)
+    final_model = refit(best_candidate)
     final_seconds = time.perf_counter() - t0
     report = TuningReport(
         cells=cells,

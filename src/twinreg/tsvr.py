@@ -8,9 +8,17 @@ h1 rises more than eps1 above the targets, the second penalizes h2 falling
 more than eps2 below them, so the pair brackets the data.
 
 Kernel mode replaces the raw inputs with a Gaussian kernel matrix
-``K(x, z) = exp(-||x - z||^2 / tau^2)`` against the stored training basis;
-every equation keeps its shape, the weight vectors just live in the span of
-the basis.
+``K(x, z) = exp(-||x - z||^2 / tau^2)`` against the stored training basis.
+``K(A, A)`` has a low numerical rank, so training takes one eigendecomposition
+``K = Q Lambda Q'``, keeps the r eigenpairs above ``lambda_max * m * eps``, and
+solves every equation with the m x (r+1) design ``[Q_r Lambda_r | 1]`` in
+place of ``[K | 1]``.  Both duals depend on the design only through
+``J J'``, which the two designs share up to round-off, and the ridge term is
+invariant under ``Q_r``; so mapping the weights back with ``w = Q_r w~``
+gives the dense solution, with coefficients over the basis as before.  A
+:class:`Design` holds that reduced matrix and ``Q_r``; it depends only on the
+inputs and the kernel, so callers that fit the same inputs many times (the
+hierarchy's first pass across a grid search) build it once.
 """
 
 from __future__ import annotations
@@ -160,6 +168,36 @@ def build_design(ts: TrainingSet, kernel: KernelSpec) -> NDArray[np.float64]:
     return np.hstack([gaussian_kernel(ts.a, ts.a, kernel.tau), ones])
 
 
+@dataclass(frozen=True)
+class Design:
+    """The design ``train`` solves with, and the map back to model weights.
+
+    ``matrix`` ends in the bias column.  In linear mode it is ``[A | 1]`` and
+    ``to_basis`` is None; in kernel mode it is ``[Q_r Lambda_r | 1]`` and the
+    basis coefficients are ``to_basis @ w~``.  ``rank`` is the number of
+    weight columns: d, or the r kept eigenpairs of K.
+    """
+
+    matrix: NDArray[np.float64]
+    to_basis: NDArray[np.float64] | None
+    kernel: KernelSpec
+
+    @property
+    def rank(self) -> int:
+        return self.matrix.shape[1] - 1
+
+
+def make_design(ts: TrainingSet, kernel: KernelSpec) -> Design:
+    """Factor ``build_design(ts, kernel)`` into the design ``train`` uses."""
+    j = build_design(ts, kernel)
+    if kernel.kind == "linear":
+        return Design(j, None, kernel)
+    lam, q = np.linalg.eigh(j[:, :-1])
+    keep = lam > lam[-1] * ts.m * np.finfo(float).eps
+    q_r = q[:, keep]
+    return Design(np.hstack([q_r * lam[keep], j[:, -1:]]), q_r, kernel)
+
+
 def _dual_hessian(j: NDArray[np.float64], ridge: float) -> NDArray[np.float64]:
     """H = J (J'J + ridge I)^-1 J', formed by solving, never inverting."""
     m_small = j.T @ j + ridge * np.eye(j.shape[1])
@@ -208,15 +246,21 @@ def train(
     ts: TrainingSet,
     params: TsvrParams,
     qp_solver: QpSolver | None = None,
+    design: Design | None = None,
 ) -> TsvrModel:
     """Fit both proximal functions and return the averaged regressor.
 
     ``qp_solver`` may be swapped out (tests drive training through the grid
     oracle); it receives each assembled :class:`~twinreg.qp.BoxQp` and must
-    return a :class:`~twinreg.qp.QpSolution`.
+    return a :class:`~twinreg.qp.QpSolution`.  ``design`` is
+    ``make_design(ts, params.kernel)`` when the caller already holds it.
     """
     solver = qp_solver or _default_solver
-    j = build_design(ts, params.kernel)
+    if design is None:
+        design = make_design(ts, params.kernel)
+    elif design.kernel != params.kernel or design.matrix.shape[0] != ts.m:
+        raise ValueError("design was built for other inputs or another kernel")
+    j = design.matrix
 
     sol_down = solver(assemble_dual_down(ts, params, j))
     sol_up = solver(assemble_dual_up(ts, params, j))
@@ -238,11 +282,15 @@ def train(
         qp_iterations_down=sol_down.iterations,
         qp_iterations_up=sol_up.iterations,
     )
-    basis = ts.a.copy() if params.kernel.kind == "gaussian" else None
+    w1, w2 = v1[:-1], v2[:-1]
+    basis = None
+    if design.to_basis is not None:
+        w1, w2 = design.to_basis @ w1, design.to_basis @ w2
+        basis = ts.a.copy()
     return TsvrModel(
-        w1=v1[:-1],
+        w1=w1,
         b1=float(v1[-1]),
-        w2=v2[:-1],
+        w2=w2,
         b2=float(v2[-1]),
         kernel=params.kernel,
         params=params,
@@ -252,14 +300,26 @@ def train(
     )
 
 
-def _feature_rows(model: TsvrModel, x: NDArray) -> tuple[NDArray[np.float64], bool]:
+def query_rows(x: NDArray, input_dim: int) -> tuple[NDArray[np.float64], bool]:
+    """Query points as a 2-D float array, and whether a single point came in.
+
+    Raises :class:`DimensionMismatch` on a wrong width and ``ValueError`` on
+    NaN or infinite coordinates.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    if x.shape[1] != model.input_dim:
+    if x.shape[1] != input_dim:
         raise DimensionMismatch(
-            f"query has dimension {x.shape[1]}, model expects {model.input_dim}"
+            f"query has dimension {x.shape[1]}, model expects {input_dim}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("query contains non-finite values")
+    return x, single
+
+
+def _feature_rows(model: TsvrModel, x: NDArray) -> tuple[NDArray[np.float64], bool]:
+    x, single = query_rows(x, model.input_dim)
     if model.kernel.kind == "gaussian":
         rows = gaussian_kernel(x, model.basis, model.kernel.tau)
     else:

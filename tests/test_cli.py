@@ -177,3 +177,35 @@ class TestExitCodes:
         assert run(
             ["predict", "--model-file", str(bad), "--point", "0"]
         ) == EXIT_DATA
+
+    @pytest.fixture()
+    def line_model(self, tmp_path, capsys):
+        data = tmp_path / "line.csv"
+        data.write_text("x1,y\n" + "".join(f"{i},{2 * i}\n" for i in range(6)))
+        model = tmp_path / "m.json"
+        assert run(["train", "--model", "tsvr", "--data", str(data),
+                    "--out", str(model)]) == EXIT_OK
+        capsys.readouterr()
+        return model
+
+    def test_resigned_model_missing_field_is_data_error(self, line_model, capsys):
+        from twinreg.model_io import _checksum
+
+        model = line_model
+        record = json.loads(model.read_text())
+        del record["payload"]["b1"]
+        record["checksum"] = _checksum(record["payload"])
+        model.write_text(json.dumps(record))
+        assert run(
+            ["predict", "--model-file", str(model), "--point", "0"]
+        ) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["nan", "inf"])
+    def test_non_finite_point_is_usage_error(self, line_model, capsys, point):
+        assert run(
+            ["predict", "--model-file", str(line_model), "--point", point]
+        ) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err
+        assert captured.out == ""

@@ -1,6 +1,7 @@
 """Tests for the multi-scale residual hierarchy."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,47 @@ class TestTrainHierarchy:
         model = train_hierarchy(ds.train, HierarchyConfig(max_layers=2))
         with pytest.raises(DimensionMismatch):
             predict_hierarchy(model, np.zeros((3, 2)))
+
+    def test_design_rank_within_basis(self):
+        ds = small_sinc_dataset(seed=10)
+        model = train_hierarchy(ds.train, HierarchyConfig(max_layers=6))
+        assert model.training_report["layers"]
+        for row in model.training_report["layers"]:
+            basis = row["prune_set_size"] if row["second_pass_adopted"] \
+                else row["total_points"]
+            assert 1 <= row["design_rank"] <= basis
+        ranks = [row["design_rank"] for row in model.training_report["layers"]]
+        # a coarse scale is smooth, so its kernel matrix has a low rank
+        assert ranks[0] < ds.train.m // 2
+
+    def test_shared_designs_filled_once_and_reused(self):
+        ds = small_sinc_dataset(seed=11)
+        config = HierarchyConfig(max_layers=4)
+        designs = {}
+        first = train_hierarchy(ds.train, config, designs=designs)
+        assert sorted(designs, reverse=True) == [layer.tau for layer in first.layers]
+        kept = dict(designs)
+        again = train_hierarchy(ds.train, replace(config, s_factor=2.0), designs=designs)
+        plain = train_hierarchy(ds.train, replace(config, s_factor=2.0))
+        assert all(designs[tau] is kept[tau] for tau in kept)
+        x = np.linspace(-12, 12, 50)[:, None]
+        np.testing.assert_array_equal(
+            np.asarray(predict_hierarchy(again, x)),
+            np.asarray(predict_hierarchy(plain, x)),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        ds = small_sinc_dataset(seed=12)
+        empty = train_hierarchy(
+            TrainingSet(ds.train.a, np.zeros(ds.train.m)), HierarchyConfig()
+        )
+        fitted = train_hierarchy(ds.train, HierarchyConfig(max_layers=2))
+        for model in (empty, fitted):
+            with pytest.raises(ValueError, match="non-finite"):
+                predict_hierarchy(model, [bad])
+            with pytest.raises(ValueError, match="non-finite"):
+                predict_hierarchy(model, np.array([[0.0], [bad]]))
 
     def test_config_validation(self):
         with pytest.raises(InvalidDivisor):

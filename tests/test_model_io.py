@@ -13,6 +13,7 @@ from twinreg.model_io import (
     CorruptModel,
     ModelIOError,
     SchemaVersionMismatch,
+    _checksum,
     load_model,
     save_model,
 )
@@ -112,6 +113,42 @@ class TestFailureModes:
         save_model(linear_model(), path)
         record = json.loads(path.read_text())
         record["payload"]["b1"] = record["payload"]["b1"] + 1.0
+        path.write_text(json.dumps(record))
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    @pytest.mark.parametrize("factory", [linear_model, hierarchy_model])
+    @pytest.mark.parametrize("mutate", ["drop_b1", "b1_null", "w1_text", "w1_short"])
+    def test_resigned_invalid_payload_is_corrupt(self, tmp_path, factory, mutate):
+        path = tmp_path / "model.json"
+        save_model(factory(), path)
+        record = json.loads(path.read_text())
+        target = record["payload"]
+        if "layers" in target:
+            target = target["layers"][0]["model"]
+        if mutate == "drop_b1":
+            del target["b1"]
+        elif mutate == "b1_null":
+            target["b1"] = None
+        elif mutate == "w1_text":
+            target["w1"] = "weights"
+        else:
+            target["w1"] = target["w1"][:-1]
+        record["checksum"] = _checksum(record["payload"])
+        path.write_text(json.dumps(record))
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    @pytest.mark.parametrize("mutate", ["drop_config_eps", "tau_text"])
+    def test_resigned_invalid_hierarchy_record_is_corrupt(self, tmp_path, mutate):
+        path = tmp_path / "model.json"
+        save_model(hierarchy_model(), path)
+        record = json.loads(path.read_text())
+        if mutate == "drop_config_eps":
+            del record["payload"]["config"]["eps"]
+        else:
+            record["payload"]["layers"][0]["tau"] = "coarse"
+        record["checksum"] = _checksum(record["payload"])
         path.write_text(json.dumps(record))
         with pytest.raises(CorruptModel):
             load_model(path)

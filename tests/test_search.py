@@ -118,6 +118,39 @@ class TestGridSearch:
         assert params.kernel.kind == "gaussian"
         assert report.final_model.basis is not None
 
+    def test_hierarchy_search_matches_independent_fits(self):
+        # The search shares first-pass layer designs across its cells; each
+        # cell must score exactly as a hierarchy fitted on its own.
+        from twinreg import data as data_mod
+        from twinreg import search as search_mod
+        from twinreg.hierarchy import predict_hierarchy, train_hierarchy
+
+        ds = noisy_sinc(seed=7)
+        grid = GridSpec(exponent_low=-3, exponent_high=3, exponent_step=3)
+        # a fixed tau1 gives the fit set and the full set the same scales
+        base = HierarchyConfig(max_layers=4, tau1=24.0)
+        best, report = grid_search(ds, "hftsvr", grid, seed=0, hierarchy_base=base)
+
+        tune_set, fit_set = data_mod.split(ds.train, grid.tuning_fraction, 0)
+        y_std = float(np.std(ds.train.y))
+        cells = []
+        for cfg in search_mod._hierarchy_cells(grid, y_std, base):
+            model = train_hierarchy(fit_set, cfg)
+            score = search_mod._score(
+                tune_set.y, predict_hierarchy(model, tune_set.a), grid.objective
+            )
+            cells.append({"key": search_mod._hierarchy_key(cfg), "score": score})
+        assert report.failures == []
+        assert report.cells == cells
+        winner = min(cells, key=lambda c: (c["score"], c["key"]))
+        assert report.best_cell == winner
+        assert search_mod._hierarchy_key(best) == winner["key"]
+        refit = train_hierarchy(ds.train, best)
+        np.testing.assert_array_equal(
+            predict_hierarchy(report.final_model, ds.test.a),
+            predict_hierarchy(refit, ds.test.a),
+        )
+
     def test_unknown_regressor_rejected(self):
         with pytest.raises(ValueError):
             grid_search(noisy_sinc(), "svr", GridSpec(), seed=0)

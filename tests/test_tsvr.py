@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twinreg import tsvr
-from twinreg.qp import QpSolution, box_qp_oracle
+from twinreg.qp import QpSolution, box_qp_oracle, solve_box_qp
 from twinreg.tsvr import (
     DimensionMismatch,
     KernelSpec,
@@ -14,6 +14,7 @@ from twinreg.tsvr import (
     assemble_dual_down,
     assemble_dual_up,
     gaussian_kernel,
+    make_design,
     predict,
     train,
 )
@@ -263,6 +264,99 @@ class TestPredict:
         model = train(ts, TsvrParams(1, 1, 0.01, 0.01))
         batch = predict(model, np.array([[0.5], [1.5]]))
         assert batch[0] == pytest.approx(predict(model, [0.5]), abs=1e-15)
+
+
+def random_gaussian_problem(rng):
+    m = int(rng.integers(1, 61))
+    d = int(rng.integers(1, 3))
+    tau = float(np.exp(rng.uniform(np.log(0.05), np.log(50))))
+    ts = TrainingSet(rng.uniform(-3, 3, size=(m, d)), rng.normal(size=m))
+    return ts, random_params(rng, KernelSpec("gaussian", tau))
+
+
+def dense_train_predict(ts, params, x):
+    """Kernel-mode training written out on the full design [K | 1]."""
+    j = build_design(ts, params.kernel)
+    alpha = solve_box_qp(assemble_dual_down(ts, params, j)).alpha
+    gamma = solve_box_qp(assemble_dual_up(ts, params, j)).alpha
+    normal = j.T @ j
+    eye = np.eye(j.shape[1])
+    v1 = np.linalg.solve(normal + params.p3 * eye, j.T @ (ts.y - alpha))
+    v2 = np.linalg.solve(normal + params.p4 * eye, j.T @ (ts.y + gamma))
+    rows = np.hstack([gaussian_kernel(x, ts.a, params.kernel.tau),
+                      np.ones((len(x), 1))])
+    return 0.5 * rows @ (v1 + v2)
+
+
+class TestReducedDesign:
+    def test_linear_design_is_the_full_design(self):
+        rng = np.random.default_rng(40)
+        ts = TrainingSet(rng.normal(size=(9, 3)), rng.normal(size=9))
+        design = make_design(ts, KernelSpec())
+        np.testing.assert_array_equal(design.matrix, build_design(ts, KernelSpec()))
+        assert design.to_basis is None
+        assert design.rank == 3
+
+    def test_hessians_match_the_dense_design(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            ts, params = random_gaussian_problem(rng)
+            design = make_design(ts, params.kernel)
+            assert 1 <= design.rank <= ts.m
+            dense = build_design(ts, params.kernel)
+            for assemble in (assemble_dual_down, assemble_dual_up):
+                h_dense = assemble(ts, params, dense).q
+                h_reduced = assemble(ts, params, design.matrix).q
+                bound = 1e-12 * np.max(np.abs(h_dense))
+                assert np.max(np.abs(h_reduced - h_dense)) <= bound
+
+    def test_predictions_match_dense_training(self):
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            ts, params = random_gaussian_problem(rng)
+            x = rng.uniform(-3.5, 3.5, size=(30, ts.d))
+            np.testing.assert_allclose(
+                predict(train(ts, params), x),
+                dense_train_predict(ts, params, x),
+                rtol=0, atol=1e-9,
+            )
+
+    def test_smooth_kernel_has_low_rank(self):
+        ts = TrainingSet(np.linspace(-3, 3, 50)[:, None], np.zeros(50))
+        design = make_design(ts, KernelSpec("gaussian", 3.0))
+        assert design.rank < 20
+        assert design.matrix.shape == (50, design.rank + 1)
+        assert design.to_basis.shape == (50, design.rank)
+
+    def test_given_design_gives_the_same_model(self):
+        rng = np.random.default_rng(43)
+        ts, params = random_gaussian_problem(rng)
+        built = train(ts, params)
+        given = train(ts, params, design=make_design(ts, params.kernel))
+        np.testing.assert_array_equal(built.w1, given.w1)
+        np.testing.assert_array_equal(built.w2, given.w2)
+
+    def test_mismatched_design_rejected(self):
+        ts = TrainingSet(np.linspace(-1, 1, 6)[:, None], np.zeros(6))
+        params = TsvrParams(1, 1, 1, 1, kernel=KernelSpec("gaussian", 1.0))
+        with pytest.raises(ValueError):
+            train(ts, params, design=make_design(ts, KernelSpec("gaussian", 2.0)))
+        with pytest.raises(ValueError):
+            train(ts, params, design=make_design(ts.subset(np.arange(4)), params.kernel))
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_in_single_and_batch(self, bad):
+        ts = TrainingSet([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
+        for kernel in (KernelSpec(), KernelSpec("gaussian", 1.0)):
+            model = train(ts, TsvrParams(1, 1, 0.1, 0.1, kernel=kernel))
+            with pytest.raises(ValueError, match="non-finite"):
+                predict(model, [bad])
+            with pytest.raises(ValueError, match="non-finite"):
+                predict(model, np.array([[0.5], [bad]]))
+            with pytest.raises(ValueError, match="non-finite"):
+                tsvr.predict_components(model, [bad])
 
 
 class TestValidation:
