@@ -22,11 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from . import hierarchy as hier_mod
-from . import tsvr as tsvr_mod
 from .hierarchy import HierarchyConfig
 from .metrics import METRIC_DEFINITIONS, MetricsReport, metrics
-from .search import GridSpec, grid_search
+from .search import REGRESSOR_KINDS, GridSpec, fit, grid_search, predict
+from .tsvr import TsvrParams
+
+_SYNTHETIC_SPECS = {
+    "power_two_thirds": data_mod.power_two_thirds_spec,
+    "sinc": data_mod.sinc_spec,
+}
 
 REGRESSOR_LABELS = {
     "hftsvr": "eps-HFTSVR",
@@ -51,6 +55,10 @@ class SuiteSpec:
     def __post_init__(self):
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
+        if set(self.regressors) - set(REGRESSOR_KINDS):
+            raise ValueError(f"unknown regressor in {self.regressors}")
+        if set(self.datasets) - set(_SYNTHETIC_SPECS) - set(self.csv_paths):
+            raise ValueError(f"unknown dataset in {self.datasets} (no csv_path)")
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,8 @@ def machine_fingerprint() -> dict:
 
 
 def _dataset_for(spec_name: str, seed: int, suite: SuiteSpec) -> data_mod.Dataset:
-    if spec_name == "power_two_thirds":
-        return data_mod.generate(data_mod.power_two_thirds_spec(seed))
-    if spec_name == "sinc":
-        return data_mod.generate(data_mod.sinc_spec(seed))
+    if spec_name in _SYNTHETIC_SPECS:
+        return data_mod.generate(_SYNTHETIC_SPECS[spec_name](seed))
     if spec_name in suite.csv_paths:
         ts = data_mod.load_csv(suite.csv_paths[spec_name], "crisp")
         tune_fraction = 0.25  # file datasets: fixed random test split per seed
@@ -96,8 +102,8 @@ def _dataset_for(spec_name: str, seed: int, suite: SuiteSpec) -> data_mod.Datase
     raise ValueError(f"unknown dataset {spec_name!r}")
 
 
-def _chosen_payload(kind: str, params) -> dict:
-    if kind == "hftsvr":
+def _chosen_payload(params: TsvrParams | HierarchyConfig) -> dict:
+    if isinstance(params, HierarchyConfig):
         p3, p4 = params.regularization()
         return {
             "s_factor": params.s_factor,
@@ -115,21 +121,12 @@ def _chosen_payload(kind: str, params) -> dict:
     }
 
 
-def _train_and_eval(kind: str, params, ds: data_mod.Dataset) -> tuple[MetricsReport, object]:
-    if kind == "hftsvr":
-        t0 = time.perf_counter()
-        model = hier_mod.train_hierarchy(ds.train, params)
-        seconds = time.perf_counter() - t0
-        yhat = hier_mod.predict_hierarchy(model, ds.test.a)
-        sv = sum(
-            layer.model.support_vector_count() for layer in model.layers
-        )
-    else:
-        t0 = time.perf_counter()
-        model = tsvr_mod.train(ds.train, params)
-        seconds = time.perf_counter() - t0
-        yhat = tsvr_mod.predict(model, ds.test.a)
-        sv = model.support_vector_count()
+def _train_and_eval(params, ds: data_mod.Dataset) -> tuple[MetricsReport, object]:
+    t0 = time.perf_counter()
+    model = fit(ds.train, params)
+    seconds = time.perf_counter() - t0
+    yhat = predict(model, ds.test.a)
+    sv = model.support_vector_count()
     return metrics(ds.test.y, yhat, train_seconds=seconds, sv_count=sv), model
 
 
@@ -174,7 +171,7 @@ def run_benchmark(suite: SuiteSpec) -> BenchmarkResult:
             for k in range(suite.n_seeds):
                 ds_k = _dataset_for(dataset_name, suite.base_seed + k, suite)
                 try:
-                    report, model = _train_and_eval(kind, params, ds_k)
+                    report, model = _train_and_eval(params, ds_k)
                 except Exception as exc:  # noqa: BLE001
                     failures.append(
                         {"dataset": dataset_name, "regressor": kind,
@@ -191,7 +188,7 @@ def run_benchmark(suite: SuiteSpec) -> BenchmarkResult:
                 PairResult(
                     dataset=dataset_name,
                     regressor=kind,
-                    chosen=_chosen_payload(kind, params),
+                    chosen=_chosen_payload(params),
                     per_seed=reports,
                     mean=mean,
                     std=std,
@@ -206,19 +203,13 @@ def run_benchmark(suite: SuiteSpec) -> BenchmarkResult:
     return result
 
 
-def _predict_any(model, x):
-    if isinstance(model, hier_mod.HfTsvrModel):
-        return hier_mod.predict_hierarchy(model, x)
-    return tsvr_mod.predict(model, x)
-
-
 def _write_curve(outdir: str, dataset: str, kind: str, model, ds) -> None:
     if ds.test.d != 1:
         return
     order = np.argsort(ds.test.a[:, 0])
     x = ds.test.a[order]
     y = ds.test.y[order]
-    yhat = np.atleast_1d(_predict_any(model, x))
+    yhat = np.atleast_1d(predict(model, x))
     path = Path(outdir) / f"curve_{dataset}_{kind}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:

@@ -30,7 +30,7 @@ from .fuzzy import defuzzify_set
 from .hierarchy import HierarchyConfig
 from .metrics import LengthMismatch, ZeroVarianceTargets, metrics
 from .qp import MaxIterationsExceeded, NotPositiveDefinite
-from .search import GridSpec, grid_search
+from .search import REGRESSOR_KINDS, GridSpec, fit, grid_search, predict
 from .tsvr import DimensionMismatch, TsvrParams
 
 EXIT_OK = 0
@@ -94,39 +94,29 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     ts = _load_training(args.data, args.schema)
     if args.model == "hftsvr":
-        config = hierarchy_config_from(args.config) if args.config else HierarchyConfig()
-        t0 = time.perf_counter()
-        model = hier_mod.train_hierarchy(ts, config)
-        seconds = time.perf_counter() - t0
-        layers = len(model.layers)
-        print(f"trained hftsvr: {layers} layers in {seconds:.3f}s")
+        params = hierarchy_config_from(args.config) if args.config else HierarchyConfig()
     else:  # tsvr and ftsvr share the crisp-on-centers training path
         params = tsvr_params_from(args.config) if args.config else TsvrParams(
             p1=1.0, p2=1.0, p3=0.1, p4=0.1, eps1=0.1, eps2=0.1
         )
-        t0 = time.perf_counter()
-        model = tsvr_mod.train(ts, params)
-        seconds = time.perf_counter() - t0
-        print(f"trained {args.model}: m={ts.m} in {seconds:.3f}s")
+    t0 = time.perf_counter()
+    model = fit(ts, params)
+    seconds = time.perf_counter() - t0
+    size = f"{len(model.layers)} layers" if args.model == "hftsvr" else f"m={ts.m}"
+    print(f"trained {args.model}: {size} in {seconds:.3f}s")
     model_io.save_model(model, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _predict_any(model, x):
-    if isinstance(model, hier_mod.HfTsvrModel):
-        return hier_mod.predict_hierarchy(model, x)
-    return tsvr_mod.predict(model, x)
 
 
 def _cmd_predict(args) -> int:
     model = model_io.load_model(args.model_file)
     if args.point is not None:
         x = np.array([float(tok) for tok in args.point.split(",")])
-        print(repr(float(_predict_any(model, x))))
+        print(repr(float(predict(model, x))))
         return EXIT_OK
     ts = _load_training(args.data, args.schema)
-    yhat = np.atleast_1d(_predict_any(model, ts.a))
+    yhat = np.atleast_1d(predict(model, ts.a))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("yhat\n")
@@ -141,7 +131,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = model_io.load_model(args.model_file)
     ts = _load_training(args.data, args.schema)
-    yhat = np.atleast_1d(_predict_any(model, ts.a))
+    yhat = np.atleast_1d(predict(model, ts.a))
     report = metrics(ts.y, yhat)
     payload = asdict(report)
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -210,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="train a model on a CSV dataset")
-    p.add_argument("--model", choices=("tsvr", "ftsvr", "hftsvr"), required=True)
+    p.add_argument("--model", choices=REGRESSOR_KINDS, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", choices=("crisp", "fuzzy"), default="crisp")
     p.add_argument("--config", help="INI file with [tsvr]/[kernel] or [hierarchy]")
@@ -234,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("gridsearch", help="grid-search hyperparameters")
-    p.add_argument("--model", choices=("tsvr", "ftsvr", "hftsvr"), required=True)
+    p.add_argument("--model", choices=REGRESSOR_KINDS, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", choices=("crisp", "fuzzy"), default="crisp")
     p.add_argument("--range", type=int, nargs=2, default=(-9, 9),

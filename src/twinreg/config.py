@@ -6,19 +6,23 @@ Sections mirror the dataclass field names exactly:
     [kernel]     kind, tau
     [hierarchy]  max_layers, tau1, scale_divisor, s_factor, eps,
                  tube_tolerance, stop_residual_var, stop_rel_improvement,
-                 pruning_enabled
+                 pruning_enabled, p3, p4 (the per-layer ridges; p4 defaults
+                 to p3)
     [grid]       exponent_low, exponent_high, exponent_step, tie_p1_p2,
                  tie_p3_p4, tie_eps, objective, tuning_fraction
     [suite]      datasets, regressors, n_seeds, base_seed, outdir
                  (plus csv_path.<name> entries for file-backed datasets)
 
-``auto`` (or a missing key) selects the documented default for optional
-values such as tau1.
+Each key is parsed by the type of its field; booleans take configparser's
+words and datasets/regressors are comma lists.  ``auto``, ``none`` or a blank
+value (or a missing key) selects the default of optional numbers such as tau1.
 """
 
 from __future__ import annotations
 
 import configparser
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 from .benchmark import SuiteSpec
@@ -39,110 +43,75 @@ def _read(path: str | Path) -> configparser.ConfigParser:
     return parser
 
 
-def _get_float(section, key, default=None, auto_ok=False):
-    if key not in section:
-        return default
-    raw = section[key].strip()
-    if auto_ok and raw.lower() in ("auto", "none", ""):
-        return None
+# Field type -> parser.  Fields of other types (nested specs, dicts) are not
+# INI keys; configparser has already stripped the values.
+_PARSERS = {
+    int: int,
+    float: float,
+    float | None: lambda s: None if s.lower() in ("auto", "none", "") else float(s),
+    bool: lambda s: configparser.ConfigParser.BOOLEAN_STATES[s.lower()],
+    str: str,
+    str | None: str,
+    tuple[str, ...]: lambda s: tuple(n.strip() for n in s.split(",") if n.strip()),
+}
+
+
+def _value(section, key: str, hint):
+    raw = section[key]
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+        return _PARSERS[hint](raw)
+    except (KeyError, ValueError) as exc:  # KeyError: not a boolean word
+        expected = getattr(hint, "__name__", hint)
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
 
 
-def _get_int(section, key, default):
-    if key not in section:
-        return default
+def _keys(cls, section) -> dict:
+    """The keys of ``section`` that name fields of ``cls``, parsed by field type."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _value(section, f.name, hints[f.name])
+        for f in fields(cls)
+        if f.name in section and hints[f.name] in _PARSERS
+    }
+
+
+def _build(cls, **kwargs):
     try:
-        return int(section[key])
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer") from exc
+        raise ConfigError(str(exc)) from exc
 
 
-def _get_bool(section, key, default):
-    if key not in section:
-        return default
-    raw = section[key].strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+def _section(parser: configparser.ConfigParser, name: str):
+    return parser[name] if parser.has_section(name) else {}
 
 
 def kernel_from(parser: configparser.ConfigParser) -> KernelSpec:
-    if not parser.has_section("kernel"):
-        return KernelSpec()
-    section = parser["kernel"]
-    kind = section.get("kind", "linear").strip()
-    tau = _get_float(section, "tau", None, auto_ok=True)
-    try:
-        return KernelSpec(kind, tau)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(KernelSpec, **_keys(KernelSpec, _section(parser, "kernel")))
 
 
 def tsvr_params_from(path: str | Path) -> TsvrParams:
     parser = _read(path)
     if not parser.has_section("tsvr"):
         raise ConfigError(f"{path}: missing [tsvr] section")
-    section = parser["tsvr"]
-    try:
-        return TsvrParams(
-            p1=_get_float(section, "p1", 1.0),
-            p2=_get_float(section, "p2", 1.0),
-            p3=_get_float(section, "p3", 0.1),
-            p4=_get_float(section, "p4", 0.1),
-            eps1=_get_float(section, "eps1", 0.0),
-            eps2=_get_float(section, "eps2", 0.0),
-            kernel=kernel_from(parser),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values = {"p1": 1.0, "p2": 1.0, "p3": 0.1, "p4": 0.1}
+    values.update(_keys(TsvrParams, parser["tsvr"]))
+    return _build(TsvrParams, **values, kernel=kernel_from(parser))
 
 
 def hierarchy_config_from(path: str | Path) -> HierarchyConfig:
     parser = _read(path)
-    section = parser["hierarchy"] if parser.has_section("hierarchy") else {}
-    p3 = _get_float(section, "p3", 0.1)
-    p4 = _get_float(section, "p4", p3)
-    base = TsvrParams(p1=1.0, p2=1.0, p3=p3, p4=p4)
-    try:
-        return HierarchyConfig(
-            max_layers=_get_int(section, "max_layers", 6),
-            tau1=_get_float(section, "tau1", None, auto_ok=True),
-            scale_divisor=_get_float(section, "scale_divisor", 2.0),
-            s_factor=_get_float(section, "s_factor", 1.0),
-            eps=_get_float(section, "eps", 0.1),
-            tube_tolerance=_get_float(section, "tube_tolerance", None, auto_ok=True),
-            stop_residual_var=_get_float(section, "stop_residual_var", None, auto_ok=True),
-            stop_rel_improvement=_get_float(section, "stop_rel_improvement", 0.0),
-            base_params=base,
-            pruning_enabled=_get_bool(section, "pruning_enabled", True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    section = _section(parser, "hierarchy")
+    p3 = _value(section, "p3", float) if "p3" in section else 0.1
+    p4 = _value(section, "p4", float) if "p4" in section else p3
+    base = _build(TsvrParams, p1=1.0, p2=1.0, p3=p3, p4=p4)
+    return _build(HierarchyConfig, **_keys(HierarchyConfig, section), base_params=base)
 
 
 def grid_spec_from(path: str | Path) -> GridSpec:
     parser = _read(path)
-    section = parser["grid"] if parser.has_section("grid") else {}
-    objective = section.get("objective", "nmse").strip()
-    try:
-        return GridSpec(
-            exponent_low=_get_int(section, "exponent_low", -9),
-            exponent_high=_get_int(section, "exponent_high", 9),
-            exponent_step=_get_int(section, "exponent_step", 1),
-            tie_p1_p2=_get_bool(section, "tie_p1_p2", True),
-            tie_p3_p4=_get_bool(section, "tie_p3_p4", True),
-            tie_eps=_get_bool(section, "tie_eps", True),
-            objective=objective,
-            tuning_fraction=_get_float(section, "tuning_fraction", 0.2),
-            kernel=kernel_from(parser),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values = _keys(GridSpec, _section(parser, "grid"))
+    return _build(GridSpec, **values, kernel=kernel_from(parser))
 
 
 def suite_from(path: str | Path) -> SuiteSpec:
@@ -150,31 +119,15 @@ def suite_from(path: str | Path) -> SuiteSpec:
     if not parser.has_section("suite"):
         raise ConfigError(f"{path}: missing [suite] section")
     section = parser["suite"]
-    datasets = tuple(
-        name.strip()
-        for name in section.get("datasets", "power_two_thirds, sinc").split(",")
-        if name.strip()
-    )
-    regressors = tuple(
-        name.strip()
-        for name in section.get("regressors", "hftsvr, ftsvr, tsvr").split(",")
-        if name.strip()
-    )
     csv_paths = {
         key.split(".", 1)[1]: value
         for key, value in section.items()
         if key.startswith("csv_path.")
     }
-    try:
-        return SuiteSpec(
-            datasets=datasets,
-            regressors=regressors,
-            n_seeds=_get_int(section, "n_seeds", 10),
-            base_seed=_get_int(section, "base_seed", 0),
-            grid=grid_spec_from(path),
-            hierarchy_base=hierarchy_config_from(path),
-            csv_paths=csv_paths,
-            outdir=section.get("outdir", None),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(
+        SuiteSpec,
+        **_keys(SuiteSpec, section),
+        grid=grid_spec_from(path),
+        hierarchy_base=hierarchy_config_from(path),
+        csv_paths=csv_paths,
+    )

@@ -123,6 +123,10 @@ class HfTsvrModel:
     input_dim: int
     training_report: dict = field(default_factory=dict)
 
+    def support_vector_count(self, rel_tol: float = 1e-6) -> int:
+        """Support vectors summed over the layers."""
+        return sum(layer.model.support_vector_count(rel_tol) for layer in self.layers)
+
 
 def scale_schedule(tau1: float, n: float, v: int) -> list[float]:
     """Geometric scale sequence ``[tau1, tau1/n, ..., tau1/n**(v-1)]``."""

@@ -20,7 +20,7 @@ from . import hierarchy as hier_mod
 from . import tsvr as tsvr_mod
 from .hierarchy import HfTsvrModel, HierarchyConfig
 from .metrics import metrics
-from .tsvr import KernelSpec, TsvrModel, TsvrParams
+from .tsvr import KernelSpec, TrainingSet, TsvrModel, TsvrParams
 
 REGRESSOR_KINDS = ("tsvr", "ftsvr", "hftsvr")
 
@@ -73,6 +73,26 @@ class TuningReport:
     fit_size: int
     final_model: TsvrModel | HfTsvrModel
     final_train_seconds: float
+
+
+def fit(
+    ts: TrainingSet,
+    params: TsvrParams | HierarchyConfig,
+    designs: dict | None = None,
+) -> TsvrModel | HfTsvrModel:
+    """Train what ``params`` configures: a hierarchy for a
+    :class:`HierarchyConfig`, which reuses the first-pass ``designs`` across
+    calls, else one twin regressor (tsvr and ftsvr alike)."""
+    if isinstance(params, HierarchyConfig):
+        return hier_mod.train_hierarchy(ts, params, designs=designs)
+    return tsvr_mod.train(ts, params)
+
+
+def predict(model: TsvrModel | HfTsvrModel, x: np.ndarray) -> float | np.ndarray:
+    """Predict with either model type; a single point gives a float."""
+    if isinstance(model, HfTsvrModel):
+        return hier_mod.predict_hierarchy(model, x)
+    return tsvr_mod.predict(model, x)
 
 
 def _score(y: np.ndarray, yhat: np.ndarray, objective: str) -> float:
@@ -164,18 +184,12 @@ def grid_search(
         base = hierarchy_base or HierarchyConfig()
         candidates = list(_hierarchy_cells(grid, y_std, base))
         key_of = _hierarchy_key
-        # Every cell fits fit_set.a at the same scales, so each layer's
-        # first-pass design is factored once and shared by all cells.
-        designs: dict = {}
-        fit_cell = lambda cfg: hier_mod.train_hierarchy(fit_set, cfg, designs=designs)
-        refit = lambda cfg: hier_mod.train_hierarchy(train, cfg)
-        predict = hier_mod.predict_hierarchy
     else:
         candidates = list(_tsvr_cells(grid, y_std))
         key_of = _tsvr_key
-        fit_cell = lambda params: tsvr_mod.train(fit_set, params)
-        refit = lambda params: tsvr_mod.train(train, params)
-        predict = tsvr_mod.predict
+    # Every hierarchy cell fits fit_set.a at the same scales, so each layer's
+    # first-pass design is factored once and shared by all cells.
+    designs: dict = {}
 
     cells: list[dict] = []
     failures: list[dict] = []
@@ -183,7 +197,7 @@ def grid_search(
     for candidate in candidates:
         key = key_of(candidate)
         try:
-            model = fit_cell(candidate)
+            model = fit(fit_set, candidate, designs)
             score = _score(tune_set.y, predict(model, tune_set.a), grid.objective)
         except Exception as exc:  # noqa: BLE001 - cell failures are logged, not fatal
             failures.append({"key": key, "error": f"{type(exc).__name__}: {exc}"})
@@ -200,7 +214,7 @@ def grid_search(
     _, best_key, best_candidate = best
 
     t0 = time.perf_counter()
-    final_model = refit(best_candidate)
+    final_model = fit(train, best_candidate)
     final_seconds = time.perf_counter() - t0
     report = TuningReport(
         cells=cells,

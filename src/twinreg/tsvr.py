@@ -140,6 +140,11 @@ class TsvrModel:
     input_dim: int
     diagnostics: TsvrDiagnostics
 
+    def __post_init__(self):
+        width = self.input_dim if self.basis is None else len(self.basis)
+        if self.w1.shape != (width,) or self.w2.shape != (width,):
+            raise ValueError(f"weights do not have length {width}")
+
     def support_vector_count(self, rel_tol: float = 1e-6) -> int:
         """Points whose down- or up-multiplier is active beyond rel_tol."""
         d = self.diagnostics

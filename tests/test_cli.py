@@ -146,6 +146,17 @@ class TestBenchmark:
         assert (outdir / "report.json").exists()
         assert "eps-TSVR" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "line", ["regressors = svr", "datasets = power_two_thirds, mystery"]
+    )
+    def test_unknown_name_is_usage_error(self, tmp_path, capsys, line):
+        suite = tmp_path / "suite.ini"
+        suite.write_text(f"[suite]\nn_seeds = 1\n{line}\n")
+        assert run(["benchmark", "--suite", str(suite)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "unknown" in captured.err
+        assert captured.out == ""
+
 
 class TestExitCodes:
     def test_usage_error(self):

@@ -1,6 +1,7 @@
 """Tests for versioned model serialization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from twinreg.model_io import (
     save_model,
 )
 from twinreg.tsvr import KernelSpec, TrainingSet, TsvrParams
+
+GOLDEN = Path(__file__).parent / "data"
 
 
 def linear_model(seed=0):
@@ -118,7 +121,10 @@ class TestFailureModes:
             load_model(path)
 
     @pytest.mark.parametrize("factory", [linear_model, hierarchy_model])
-    @pytest.mark.parametrize("mutate", ["drop_b1", "b1_null", "w1_text", "w1_short"])
+    @pytest.mark.parametrize(
+        "mutate",
+        ["drop_b1", "b1_null", "w1_text", "w1_short", "drop_alpha", "drop_kernel_tau"],
+    )
     def test_resigned_invalid_payload_is_corrupt(self, tmp_path, factory, mutate):
         path = tmp_path / "model.json"
         save_model(factory(), path)
@@ -132,22 +138,34 @@ class TestFailureModes:
             target["b1"] = None
         elif mutate == "w1_text":
             target["w1"] = "weights"
-        else:
+        elif mutate == "w1_short":
             target["w1"] = target["w1"][:-1]
+        elif mutate == "drop_alpha":
+            del target["diagnostics"]["alpha"]
+        else:
+            del target["params"]["kernel"]["tau"]
         record["checksum"] = _checksum(record["payload"])
         path.write_text(json.dumps(record))
         with pytest.raises(CorruptModel):
             load_model(path)
 
-    @pytest.mark.parametrize("mutate", ["drop_config_eps", "tau_text"])
+    @pytest.mark.parametrize(
+        "mutate", ["drop_config_eps", "tau_text", "pruned_text", "drop_base_p3"]
+    )
     def test_resigned_invalid_hierarchy_record_is_corrupt(self, tmp_path, mutate):
         path = tmp_path / "model.json"
         save_model(hierarchy_model(), path)
         record = json.loads(path.read_text())
         if mutate == "drop_config_eps":
             del record["payload"]["config"]["eps"]
-        else:
+        elif mutate == "tau_text":
             record["payload"]["layers"][0]["tau"] = "coarse"
+        elif mutate == "pruned_text":
+            record["payload"]["layers"][1]["pruned_indices"] = "all"
+        else:  # base params without p3 (the fixture's config has none)
+            base = dict(record["payload"]["layers"][0]["model"]["params"])
+            del base["p3"]
+            record["payload"]["config"]["base_params"] = base
         record["checksum"] = _checksum(record["payload"])
         path.write_text(json.dumps(record))
         with pytest.raises(CorruptModel):
@@ -160,3 +178,26 @@ class TestFailureModes:
     def test_unserializable_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             save_model(object(), tmp_path / "x.json")
+
+
+class TestGoldenFiles:
+    """Model files saved by an earlier release of format_version 1."""
+
+    @pytest.mark.parametrize(
+        "name, predict",
+        [("tsvr_linear", tsvr.predict), ("hftsvr_sinc", hier_mod.predict_hierarchy)],
+    )
+    def test_load_predict_and_resave(self, tmp_path, name, predict):
+        source = GOLDEN / f"model_{name}_v1.json"
+        expected = json.loads((GOLDEN / "golden_predictions_v1.json").read_text())[name]
+        model = load_model(source)
+        yhat = predict(model, np.array(expected["x"]))
+        assert yhat.tolist() == expected["yhat"]
+
+        resaved = tmp_path / "model.json"
+        save_model(model, resaved)
+        old, new = json.loads(source.read_text()), json.loads(resaved.read_text())
+        assert new["format_version"] == old["format_version"] == 1
+        assert new["kind"] == old["kind"]
+        assert new["payload"] == old["payload"]
+        assert new["checksum"] == old["checksum"]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from twinreg import data as data_mod
+from twinreg import hierarchy as hier_mod
+from twinreg import tsvr
 from twinreg.hierarchy import HfTsvrModel, HierarchyConfig
-from twinreg.search import GridSpec, grid_search
+from twinreg.search import GridSpec, fit, grid_search, predict
 from twinreg.tsvr import KernelSpec, TrainingSet, TsvrParams
 
 
@@ -160,3 +162,29 @@ class TestGridSearch:
         grid = GridSpec(exponent_low=0, exponent_high=0)
         _, report = grid_search(ds, "tsvr", grid, seed=0)
         assert report.final_model.diagnostics.alpha.size == ds.train.m
+
+
+class TestFitPredict:
+    def test_twin_regressor_for_tsvr_params(self):
+        ds = noisy_sinc()
+        params = TsvrParams(1.0, 1.0, 0.1, 0.1, 0.05, 0.05, KernelSpec("gaussian", 2.0))
+        model = fit(ds.train, params)
+        direct = tsvr.train(ds.train, params)
+        np.testing.assert_array_equal(
+            predict(model, ds.test.a), tsvr.predict(direct, ds.test.a)
+        )
+        assert model.support_vector_count() == direct.support_vector_count()
+
+    def test_hierarchy_for_hierarchy_config(self):
+        ds = noisy_sinc()
+        config = HierarchyConfig(max_layers=3)
+        model = fit(ds.train, config, designs={})
+        direct = hier_mod.train_hierarchy(ds.train, config)
+        assert isinstance(model, HfTsvrModel)
+        np.testing.assert_array_equal(
+            predict(model, ds.test.a), hier_mod.predict_hierarchy(direct, ds.test.a)
+        )
+        assert isinstance(predict(model, ds.test.a[0]), float)
+        assert model.support_vector_count() == sum(
+            layer.model.support_vector_count() for layer in direct.layers
+        )
