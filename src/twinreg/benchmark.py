@@ -24,7 +24,14 @@ import numpy as np
 from . import data as data_mod
 from .hierarchy import HierarchyConfig
 from .metrics import METRIC_DEFINITIONS, MetricsReport, metrics
-from .search import REGRESSOR_KINDS, GridSpec, fit, grid_search, predict
+from .search import (
+    REGRESSOR_KINDS,
+    TRAINING_ERRORS,
+    GridSpec,
+    fit,
+    grid_search,
+    predict,
+)
 from .tsvr import TsvrParams
 
 _SYNTHETIC_SPECS = {
@@ -158,7 +165,7 @@ def run_benchmark(suite: SuiteSpec) -> BenchmarkResult:
                     ds0, kind, suite.grid, suite.base_seed,
                     hierarchy_base=suite.hierarchy_base,
                 )
-            except Exception as exc:  # noqa: BLE001 - annotate and continue
+            except TRAINING_ERRORS as exc:  # annotate and continue
                 failures.append(
                     {"dataset": dataset_name, "regressor": kind,
                      "stage": "grid_search",
@@ -172,7 +179,7 @@ def run_benchmark(suite: SuiteSpec) -> BenchmarkResult:
                 ds_k = _dataset_for(dataset_name, suite.base_seed + k, suite)
                 try:
                     report, model = _train_and_eval(params, ds_k)
-                except Exception as exc:  # noqa: BLE001
+                except TRAINING_ERRORS as exc:
                     failures.append(
                         {"dataset": dataset_name, "regressor": kind,
                          "stage": f"seed_{k}",

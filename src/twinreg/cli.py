@@ -15,7 +15,6 @@ from dataclasses import asdict
 import numpy as np
 
 from . import data as data_mod
-from . import hierarchy as hier_mod
 from . import model_io
 from . import tsvr as tsvr_mod
 from .benchmark import format_table, result_payload, run_benchmark
@@ -29,8 +28,14 @@ from .config import (
 from .fuzzy import defuzzify_set
 from .hierarchy import HierarchyConfig
 from .metrics import LengthMismatch, ZeroVarianceTargets, metrics
-from .qp import MaxIterationsExceeded, NotPositiveDefinite
-from .search import REGRESSOR_KINDS, GridSpec, fit, grid_search, predict
+from .search import (
+    REGRESSOR_KINDS,
+    TRAINING_ERRORS,
+    GridSpec,
+    fit,
+    grid_search,
+    predict,
+)
 from .tsvr import DimensionMismatch, TsvrParams
 
 EXIT_OK = 0
@@ -47,14 +52,6 @@ _DATA_ERRORS = (
     model_io.SchemaVersionMismatch,
     model_io.CorruptModel,
     OSError,
-)
-_TRAINING_ERRORS = (
-    NotPositiveDefinite,
-    MaxIterationsExceeded,
-    hier_mod.ZeroVariance,
-    hier_mod.DegenerateDomain,
-    hier_mod.EmptyPrunedSet,
-    hier_mod.InvalidDivisor,
 )
 
 
@@ -257,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         print(f"twinreg: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _TRAINING_ERRORS as exc:
+    except TRAINING_ERRORS as exc:
         print(f"twinreg: training failure: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except ValueError as exc:

@@ -119,14 +119,18 @@ def suite_from(path: str | Path) -> SuiteSpec:
     if not parser.has_section("suite"):
         raise ConfigError(f"{path}: missing [suite] section")
     section = parser["suite"]
-    csv_paths = {
-        key.split(".", 1)[1]: value
-        for key, value in section.items()
-        if key.startswith("csv_path.")
-    }
+    values = _keys(SuiteSpec, section)
+    # configparser lowercases option names, so each csv_path.<name> is matched
+    # to its dataset the same way and keyed by the name as written in datasets.
+    written = {name.lower(): name for name in values.get("datasets", ())}
+    csv_paths = {}
+    for key, value in section.items():
+        if key.startswith("csv_path."):
+            name = key.split(".", 1)[1]
+            csv_paths[written.get(name, name)] = value
     return _build(
         SuiteSpec,
-        **_keys(SuiteSpec, section),
+        **values,
         grid=grid_spec_from(path),
         hierarchy_base=hierarchy_config_from(path),
         csv_paths=csv_paths,

@@ -1,9 +1,20 @@
 """Versioned JSON serialization for trained models.
 
-The on-disk record is ``{"format_version", "kind", "payload", "checksum"}``
-where the checksum is the SHA-256 of the canonical payload encoding.  Floats
-are stored via ``repr`` round-tripping (JSON numbers), so reloaded models
-predict identically.  Loading refuses unknown versions and corrupt files.
+The on-disk record is the JSON object
+``{"format_version": 1, "kind": K, "checksum": C, "payload": P}``, written in
+that order with the payload last.  P is the canonical payload encoding (sorted
+keys, no whitespace) and C is the SHA-256 of its text.  Floats are stored via
+``repr`` round-tripping (JSON numbers), so reloaded models predict identically.
+
+Loading verifies the checksum one of two ways.  A file laid out exactly as
+``save_model`` writes it is checked by hashing its payload bytes as they stand,
+and only those bytes are parsed and decoded.  Any other file (an older writer,
+or one rewritten by ``json.dumps``) is parsed whole, and its payload is
+re-encoded canonically and hashed.  The two judge a file alike whenever its
+payload text is canonical, as in every file ``save_model`` writes; they differ
+only on a file in that exact layout whose checksum was taken over a
+non-canonical payload text, which the byte hash accepts.  Loading refuses
+unknown versions and corrupt files.
 
 The payload holds the model's dataclass fields by name and is read back by
 their types, so a missing field or a value of the wrong JSON type is corrupt.
@@ -14,6 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 import types
 import typing
 from dataclasses import fields, is_dataclass
@@ -93,35 +105,64 @@ def _reader(cls) -> Callable:
     return read
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(_canonical(payload))
+
+
+# The header save_model writes before the canonical payload text; the file ends
+# with the "}" that closes the record.
+_SIGNED_HEAD = re.compile(
+    rf'\{{"format_version": {FORMAT_VERSION}, "kind": "(?P<kind>\w+)", '
+    r'"checksum": "(?P<checksum>[0-9a-f]{64})", "payload": '
+)
 
 
 def save_model(model: TsvrModel | HfTsvrModel, path: str | Path) -> None:
     kind = next((k for k, cls in _KINDS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    payload = _encode(model)
-    record = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "payload": payload,
-        "checksum": _checksum(payload),
-    }
+    payload = _canonical(_encode(model))
+    text = (
+        f'{{"format_version": {FORMAT_VERSION}, "kind": "{kind}", '
+        f'"checksum": "{_sha256(payload)}", "payload": {payload}}}'
+    )
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
+            handle.write(text)
     except OSError as exc:
         raise ModelIOError(f"cannot write {path}: {exc}") from exc
 
 
-def load_model(path: str | Path) -> TsvrModel | HfTsvrModel:
+def _signed_payload(text: str) -> tuple[str, object] | None:
+    """``(kind, payload)`` of a file in ``save_model``'s layout whose payload
+    bytes hash to its checksum, parsed from exactly those bytes; else None.
+
+    A record with a second "payload" key fails the hash, because the hashed
+    span runs to the closing brace, so it never decodes a copy it did not hash.
+    """
+    head = _SIGNED_HEAD.match(text)
+    if head is None or not text.endswith("}"):
+        return None
+    body = text[head.end():-1]
+    if _sha256(body) != head["checksum"]:
+        return None
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ModelIOError(f"cannot read {path}: {exc}") from exc
+        return head["kind"], json.loads(body)
+    except json.JSONDecodeError:
+        return None
+
+
+def _verified_payload(text: str, path) -> tuple[object, object]:
+    """``(kind, payload)`` of a whole record whose canonical payload re-encoding
+    hashes to its checksum."""
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -136,7 +177,16 @@ def load_model(path: str | Path) -> TsvrModel | HfTsvrModel:
     payload = record.get("payload")
     if payload is None or record.get("checksum") != _checksum(payload):
         raise CorruptModel(f"{path}: checksum mismatch")
-    kind = record.get("kind")
+    return record.get("kind"), payload
+
+
+def load_model(path: str | Path) -> TsvrModel | HfTsvrModel:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ModelIOError(f"cannot read {path}: {exc}") from exc
+    kind, payload = _signed_payload(text) or _verified_payload(text, path)
     if not isinstance(kind, str) or kind not in _KINDS:
         raise CorruptModel(f"{path}: unknown model kind {kind!r}")
     # A signed payload can still miss a field or hold one of the wrong type.

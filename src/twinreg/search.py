@@ -19,10 +19,31 @@ from . import data as data_mod
 from . import hierarchy as hier_mod
 from . import tsvr as tsvr_mod
 from .hierarchy import HfTsvrModel, HierarchyConfig
-from .metrics import metrics
+from .metrics import ZeroVarianceTargets, metrics
+from .qp import MaxIterationsExceeded, NotPositiveDefinite
 from .tsvr import KernelSpec, TrainingSet, TsvrModel, TsvrParams
 
 REGRESSOR_KINDS = ("tsvr", "ftsvr", "hftsvr")
+
+
+class AllCellsFailed(RuntimeError):
+    """Every grid cell failed to train or to score."""
+
+
+# The typed ways that training a model, scoring it or searching a grid can
+# fail.  A grid cell or benchmark run that raises one is recorded and skipped;
+# any other exception is a fault and propagates.
+TRAINING_ERRORS = (
+    NotPositiveDefinite,
+    MaxIterationsExceeded,
+    hier_mod.ZeroVariance,
+    hier_mod.DegenerateDomain,
+    hier_mod.EmptyPrunedSet,
+    hier_mod.InvalidDivisor,
+    ZeroVarianceTargets,
+    np.linalg.LinAlgError,
+    AllCellsFailed,
+)
 
 
 @dataclass(frozen=True)
@@ -171,8 +192,10 @@ def grid_search(
     """Pick hyperparameters for one regressor on one dataset.
 
     ``ftsvr`` searches exactly like ``tsvr`` (training is crisp-on-centers);
-    ``hftsvr`` searches (S, p3, eps) around ``hierarchy_base``.  Failed cells
-    are recorded and skipped.  Deterministic for a fixed seed.
+    ``hftsvr`` searches (S, p3, eps) around ``hierarchy_base``.  A cell whose
+    fit or score raises one of :data:`TRAINING_ERRORS`, or scores non-finite,
+    is recorded and skipped; :class:`AllCellsFailed` is raised if no cell is
+    left.  Deterministic for a fixed seed.
     """
     if regressor_kind not in REGRESSOR_KINDS:
         raise ValueError(f"unknown regressor {regressor_kind!r}")
@@ -199,7 +222,7 @@ def grid_search(
         try:
             model = fit(fit_set, candidate, designs)
             score = _score(tune_set.y, predict(model, tune_set.a), grid.objective)
-        except Exception as exc:  # noqa: BLE001 - cell failures are logged, not fatal
+        except TRAINING_ERRORS as exc:
             failures.append({"key": key, "error": f"{type(exc).__name__}: {exc}"})
             continue
         if not np.isfinite(score):
@@ -210,7 +233,7 @@ def grid_search(
             best = (score, key, candidate)
 
     if best is None:
-        raise RuntimeError("every grid cell failed to train")
+        raise AllCellsFailed("every grid cell failed to train")
     _, best_key, best_candidate = best
 
     t0 = time.perf_counter()

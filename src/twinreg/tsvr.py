@@ -158,7 +158,11 @@ def gaussian_kernel(x: NDArray, z: NDArray, tau: float) -> NDArray[np.float64]:
     """K_ij = exp(-||x_i - z_j||^2 / tau^2)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    return np.exp(-cdist(x, z, "sqeuclidean") / (tau * tau))
+    # In place in the cdist buffer: IEEE division is sign-symmetric, so this is
+    # bit for bit exp(-d2 / tau^2) without two temporary m x n arrays.
+    k = cdist(x, z, "sqeuclidean")
+    np.divide(k, -(tau * tau), out=k)
+    return np.exp(k, out=k)
 
 
 def build_design(ts: TrainingSet, kernel: KernelSpec) -> NDArray[np.float64]:

@@ -14,6 +14,7 @@ from twinreg.benchmark import (
     run_benchmark,
 )
 from twinreg.hierarchy import HierarchyConfig
+from twinreg.qp import MaxIterationsExceeded, NotPositiveDefinite
 from twinreg.search import GridSpec
 
 TINY_GRID = GridSpec(exponent_low=-3, exponent_high=3, exponent_step=3)
@@ -131,3 +132,41 @@ class TestSuite:
         nmse = {row.regressor: row.mean["nmse"] for row in result.rows}
         assert nmse["hftsvr"] <= nmse["tsvr"]
         assert nmse["hftsvr"] <= 0.05
+
+
+class TestFailures:
+    @staticmethod
+    def failing_train(error):
+        def train(ts, params):
+            raise error
+
+        return train
+
+    def test_typed_failure_annotated(self, monkeypatch):
+        from twinreg import tsvr
+
+        monkeypatch.setattr(
+            tsvr, "train", self.failing_train(MaxIterationsExceeded(np.zeros(1), 1.0))
+        )
+        result = run_benchmark(tiny_suite())
+        assert result.rows == []
+        (failure,) = result.failures
+        assert failure["stage"] == "grid_search"
+        assert failure["error"].startswith("AllCellsFailed")
+
+    def test_typed_failure_of_one_seed_annotated(self, monkeypatch):
+        from twinreg import benchmark
+
+        monkeypatch.setattr(
+            benchmark, "fit", self.failing_train(NotPositiveDefinite("singular"))
+        )
+        result = run_benchmark(tiny_suite(n_seeds=2))
+        assert result.rows == []
+        assert [f["stage"] for f in result.failures] == ["seed_0", "seed_1"]
+
+    def test_untyped_error_propagates(self, monkeypatch):
+        from twinreg import tsvr
+
+        monkeypatch.setattr(tsvr, "train", self.failing_train(TypeError("a bug")))
+        with pytest.raises(TypeError, match="a bug"):
+            run_benchmark(tiny_suite())

@@ -182,6 +182,15 @@ class TestExitCodes:
         )
         assert code == EXIT_TRAINING
 
+    def test_every_grid_cell_failing_is_training_failure(self, tmp_path):
+        # constant targets: every cell's tuning score divides by zero variance
+        data = tmp_path / "flat.csv"
+        data.write_text("x1,y\n" + "".join(f"{i}.0,2.0\n" for i in range(10)))
+        code = run(
+            ["gridsearch", "--model", "tsvr", "--data", str(data), "--range", "0", "0"]
+        )
+        assert code == EXIT_TRAINING
+
     def test_corrupt_model_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -177,6 +177,14 @@ class TestSuite:
             hierarchy_base=HierarchyConfig(base_params=TsvrParams(1.0, 1.0, 0.1, 0.1))
         )
 
+    @pytest.mark.parametrize("key", ["MyData", "mydata", "MYDATA"])
+    def test_csv_path_matches_dataset_case_insensitively(self, ini, key):
+        suite = suite_from(ini(
+            f"[suite]\ndatasets = MyData, sinc\ncsv_path.{key} = data/mine.csv\n"
+        ))
+        assert suite.datasets == ("MyData", "sinc")
+        assert suite.csv_paths == {"MyData": "data/mine.csv"}
+
     @pytest.mark.parametrize("word", ["none", "auto", ""])
     def test_outdir_stays_a_plain_string(self, ini, word):
         assert suite_from(ini(f"[suite]\noutdir = {word}\n")).outdir == word

@@ -1,5 +1,6 @@
 """Tests for versioned model serialization."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from twinreg import data as data_mod
 from twinreg import hierarchy as hier_mod
-from twinreg import tsvr
+from twinreg import model_io, tsvr
 from twinreg.hierarchy import HierarchyConfig
 from twinreg.model_io import (
     CorruptModel,
@@ -178,6 +179,73 @@ class TestFailureModes:
     def test_unserializable_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             save_model(object(), tmp_path / "x.json")
+
+
+class TestSignedLayout:
+    """Files in save_model's layout are verified by hashing the payload bytes."""
+
+    @staticmethod
+    def saved(tmp_path, factory=hierarchy_model):
+        path = tmp_path / "model.json"
+        save_model(factory(), path)
+        return path, path.read_text()
+
+    def test_fast_path_skips_the_canonical_re_encoding(self, tmp_path, monkeypatch):
+        path, _ = self.saved(tmp_path)
+
+        def fail(payload):
+            raise AssertionError("payload re-encoded")
+
+        monkeypatch.setattr(model_io, "_checksum", fail)
+        load_model(path)
+
+    @pytest.mark.parametrize("which", [0, 1, -1])
+    def test_one_digit_changed_is_corrupt(self, tmp_path, which):
+        path, text = self.saved(tmp_path)
+        start = text.index('"payload": ')
+        digits = [i for i in range(start, len(text)) if text[i].isdigit()]
+        i = digits[which * len(digits) // 3]
+        path.write_text(text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:])
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    @pytest.mark.parametrize("resign", [False, True])
+    def test_second_tampered_payload_key_is_corrupt(self, tmp_path, resign):
+        path, text = self.saved(tmp_path, linear_model)
+        tampered = json.loads(text)["payload"]
+        tampered["b1"] += 1.0
+        body_start = text.index('"payload": ') + len('"payload": ')
+        body = text[body_start:-1] + ', "payload": ' + json.dumps(tampered)
+        head = text[:body_start]
+        if resign:  # sign the raw bytes of both copies together
+            old = json.loads(text)["checksum"]
+            head = head.replace(old, hashlib.sha256(body.encode()).hexdigest())
+        path.write_text(head + body + "}")
+        assert json.loads(path.read_text())["payload"] == tampered
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
+    @pytest.mark.parametrize("key_order", ["as_written", "older_writer"])
+    def test_record_rewritten_by_json_dumps_loads(self, tmp_path, key_order):
+        path, text = self.saved(tmp_path)
+        record = json.loads(text)
+        if key_order == "older_writer":
+            order = ("format_version", "kind", "payload", "checksum")
+            record = {key: record[key] for key in order}
+        rewritten = tmp_path / "rewritten.json"
+        rewritten.write_text(json.dumps(record))
+        x = np.linspace(-10, 10, 50)[:, None]
+        np.testing.assert_array_equal(
+            hier_mod.predict_hierarchy(load_model(rewritten), x),
+            hier_mod.predict_hierarchy(load_model(path), x),
+        )
+
+    @pytest.mark.parametrize("factory", [linear_model, kernel_model, hierarchy_model])
+    def test_save_load_save_is_byte_identical(self, tmp_path, factory):
+        path, text = self.saved(tmp_path, factory)
+        again = tmp_path / "again.json"
+        save_model(load_model(path), again)
+        assert again.read_text() == text
 
 
 class TestGoldenFiles:

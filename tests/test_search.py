@@ -7,7 +7,8 @@ from twinreg import data as data_mod
 from twinreg import hierarchy as hier_mod
 from twinreg import tsvr
 from twinreg.hierarchy import HfTsvrModel, HierarchyConfig
-from twinreg.search import GridSpec, fit, grid_search, predict
+from twinreg.qp import MaxIterationsExceeded, NotPositiveDefinite
+from twinreg.search import AllCellsFailed, GridSpec, fit, grid_search, predict
 from twinreg.tsvr import KernelSpec, TrainingSet, TsvrParams
 
 
@@ -162,6 +163,45 @@ class TestGridSearch:
         grid = GridSpec(exponent_low=0, exponent_high=0)
         _, report = grid_search(ds, "tsvr", grid, seed=0)
         assert report.final_model.diagnostics.alpha.size == ds.train.m
+
+
+class TestCellFailures:
+    GRID = GridSpec(exponent_low=0, exponent_high=2)
+
+    @staticmethod
+    def fail_when(monkeypatch, error, p1):
+        """Make every fit with ``params.p1 == p1`` raise ``error``."""
+        from twinreg import search as search_mod
+
+        real = search_mod.tsvr_mod.train
+
+        def train(ts, params):
+            if params.p1 == p1:
+                raise error
+            return real(ts, params)
+
+        monkeypatch.setattr(search_mod.tsvr_mod, "train", train)
+
+    def test_typed_failure_recorded_and_skipped(self, monkeypatch):
+        self.fail_when(monkeypatch, MaxIterationsExceeded(np.zeros(1), 1.0), 2.0)
+        _, report = grid_search(line_dataset(), "tsvr", self.GRID, seed=0)
+        failed = [f["key"] for f in report.failures]
+        assert failed and all(key[0] == 2.0 for key in failed)
+        assert all(
+            f["error"].startswith("MaxIterationsExceeded") for f in report.failures
+        )
+        assert {c["key"][0] for c in report.cells} == {1.0, 4.0}
+
+    def test_every_cell_failing_is_typed(self, monkeypatch):
+        self.fail_when(monkeypatch, NotPositiveDefinite("singular"), 1.0)
+        grid = GridSpec(exponent_low=0, exponent_high=0)
+        with pytest.raises(AllCellsFailed):
+            grid_search(line_dataset(), "tsvr", grid, seed=0)
+
+    def test_untyped_error_propagates(self, monkeypatch):
+        self.fail_when(monkeypatch, TypeError("a programming error"), 2.0)
+        with pytest.raises(TypeError, match="a programming error"):
+            grid_search(line_dataset(), "tsvr", self.GRID, seed=0)
 
 
 class TestFitPredict:

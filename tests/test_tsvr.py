@@ -64,6 +64,20 @@ class TestBuildDesign:
         np.testing.assert_allclose(k, k.T, atol=1e-15)
         np.testing.assert_allclose(np.diag(k), 1.0, atol=1e-15)
 
+    def test_kernel_bitwise_equals_textbook_expression(self):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(11)
+        for tau in [1e-3, 1e3, *10 ** rng.uniform(-3, 3, 58)]:
+            d = int(rng.integers(1, 4))
+            x = rng.normal(scale=3.0, size=(int(rng.integers(1, 40)), d))
+            z = rng.normal(scale=3.0, size=(int(rng.integers(1, 40)), d))
+            expected = np.exp(-cdist(x, z, "sqeuclidean") / (tau * tau))
+            k = gaussian_kernel(x, z, tau)
+            assert k.tobytes() == expected.tobytes()
+            same = gaussian_kernel(x, x, tau)
+            assert np.all(np.diag(same) == 1.0)
+
 
 class TestDualAssembly:
     def test_single_point_down_hessian(self):
