@@ -36,8 +36,12 @@ class ConfigError(Exception):
 
 
 def _read(path: str | Path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    found = parser.read(path)
+    # Values are taken as written: without interpolation a "%" is just text.
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        found = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not found:
         raise ConfigError(f"cannot read config file {path}")
     return parser

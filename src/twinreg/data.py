@@ -176,11 +176,12 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            rows = [row for row in reader if row]
         except StopIteration:
             raise MissingHeader(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
-    return header, rows
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: unreadable CSV text ({exc})") from exc
+    return [h.strip() for h in header], rows
 
 
 def load_csv(path: str | Path, schema: str = "crisp") -> TrainingSet | list[FuzzySample]:

@@ -71,18 +71,22 @@ class HierarchyConfig:
     def __post_init__(self):
         if self.max_layers < 1:
             raise ValueError("max_layers must be >= 1")
+        if self.tau1 is not None and not np.isfinite(self.tau1):
+            raise ValueError("tau1 must be finite")
+        if not np.isfinite(self.scale_divisor):
+            raise ValueError("scale_divisor must be finite")
         if self.scale_divisor < 2:
             raise InvalidDivisor("scale divisor must be >= 2")
         if not (0 < self.s_factor <= 5):
             raise ValueError("s_factor must lie in (0, 5]")
-        if self.eps < 0:
-            raise ValueError("eps must be non-negative")
-        if self.tube_tolerance is not None and self.tube_tolerance <= 0:
-            raise ValueError("tube_tolerance must be positive")
-        if self.stop_residual_var is not None and self.stop_residual_var < 0:
-            raise ValueError("stop_residual_var must be non-negative")
-        if self.stop_rel_improvement < 0:
-            raise ValueError("stop_rel_improvement must be non-negative")
+        if not 0 <= self.eps < np.inf:
+            raise ValueError("eps must be non-negative and finite")
+        if self.tube_tolerance is not None and not 0 < self.tube_tolerance < np.inf:
+            raise ValueError("tube_tolerance must be positive and finite")
+        if self.stop_residual_var is not None and not 0 <= self.stop_residual_var < np.inf:
+            raise ValueError("stop_residual_var must be non-negative and finite")
+        if not 0 <= self.stop_rel_improvement < np.inf:
+            raise ValueError("stop_rel_improvement must be non-negative and finite")
 
     def regularization(self) -> tuple[float, float]:
         if self.base_params is None:
@@ -123,9 +127,9 @@ class HfTsvrModel:
     input_dim: int
     training_report: dict = field(default_factory=dict)
 
-    def support_vector_count(self, rel_tol: float = 1e-6) -> int:
+    def support_vector_count(self) -> int:
         """Support vectors summed over the layers."""
-        return sum(layer.model.support_vector_count(rel_tol) for layer in self.layers)
+        return sum(layer.model.support_vector_count() for layer in self.layers)
 
 
 def scale_schedule(tau1: float, n: float, v: int) -> list[float]:
@@ -139,7 +143,7 @@ def scale_schedule(tau1: float, n: float, v: int) -> list[float]:
     return [tau1 / n**k for k in range(v)]
 
 
-def auto_tau1(ts: TrainingSet, factor: float = 1.0) -> float:
+def auto_tau1(ts: TrainingSet) -> float:
     """First-layer scale: the Euclidean diagonal of the input bounding box."""
     if ts.m < 2:
         raise ValueError("need at least two samples to measure the domain")
@@ -147,7 +151,7 @@ def auto_tau1(ts: TrainingSet, factor: float = 1.0) -> float:
     diameter = float(np.sqrt(np.sum(extents**2)))
     if diameter == 0.0:
         raise DegenerateDomain("all inputs coincide")
-    return factor * diameter
+    return diameter
 
 
 def layer_tradeoff(residuals: NDArray, s_factor: float) -> float:
@@ -257,10 +261,10 @@ def train_hierarchy(
         b_v_prime = b_v
         pruned = np.arange(ts.m)
         adopted = False
+        next_residual = residual - tsvr.predict(first_pass, ts.a)
+        var_out = float(np.var(next_residual))
         if config.pruning_enabled:
-            after = residual - tsvr.predict(first_pass, ts.a)
-            var_first = float(np.var(after))
-            pruned = prune_set(after, config.eps, config.scale_divisor, tp)
+            pruned = prune_set(next_residual, config.eps, config.scale_divisor, tp)
             if 0 < pruned.size < ts.m:
                 b_v_prime = second_pass_tradeoff(b_v, ts.m, pruned.size)
                 kept_ts = layer_ts.subset(pruned)
@@ -271,14 +275,14 @@ def train_hierarchy(
                 # adopt it only while it retains a meaningful share of the
                 # first-pass improvement (a near-empty tube can select an
                 # unrepresentative subset whose refit memorizes a few points).
-                var_second = float(np.var(residual - tsvr.predict(second, ts.a)))
-                if var_in - var_second >= 0.25 * (var_in - var_first):
+                second_residual = residual - tsvr.predict(second, ts.a)
+                var_second = float(np.var(second_residual))
+                if var_in - var_second >= 0.25 * (var_in - var_out):
                     model_v, adopted = second, True
                     rank = second_design.rank
+                    next_residual, var_out = second_residual, var_second
         elapsed = time.perf_counter() - t0
 
-        next_residual = residual - tsvr.predict(model_v, ts.a)
-        var_out = float(np.var(next_residual))
         if var_out >= var_in:
             stop_reason = "no_improvement"
             break

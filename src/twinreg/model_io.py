@@ -186,6 +186,8 @@ def load_model(path: str | Path) -> TsvrModel | HfTsvrModel:
             text = handle.read()
     except OSError as exc:
         raise ModelIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptModel(f"{path}: not UTF-8 text ({exc})") from exc
     kind, payload = _signed_payload(text) or _verified_payload(text, path)
     if not isinstance(kind, str) or kind not in _KINDS:
         raise CorruptModel(f"{path}: unknown model kind {kind!r}")

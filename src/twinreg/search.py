@@ -2,7 +2,8 @@
 
 The protocol: carve a random 20% tuning subset off the training data, fit
 every grid cell on the remaining 80%, score it on the tuning subset, pick the
-minimum (ties go to the lexicographically smallest parameters), then retrain
+minimum (ties, which include scores within ``TIE_TOLERANCE`` of the best
+relative to it, go to the lexicographically smallest parameters), then retrain
 the winner on the full training set.  Loss and regularization weights range
 over ``2**k`` for k in the exponent range; tube widths use the negative
 exponents scaled by the target standard deviation, plus zero.
@@ -24,6 +25,10 @@ from .qp import MaxIterationsExceeded, NotPositiveDefinite
 from .tsvr import KernelSpec, TrainingSet, TsvrModel, TsvrParams
 
 REGRESSOR_KINDS = ("tsvr", "ftsvr", "hftsvr")
+
+# Scores this close (relative to the best) tie: cells that fit the same model
+# differ only by round-off, which must not overrule the smallest-key rule.
+TIE_TOLERANCE = 1e-12
 
 
 class AllCellsFailed(RuntimeError):
@@ -214,9 +219,8 @@ def grid_search(
     # first-pass design is factored once and shared by all cells.
     designs: dict = {}
 
-    cells: list[dict] = []
     failures: list[dict] = []
-    best = None  # (score, key, candidate)
+    scored = []  # (key, score, candidate)
     for candidate in candidates:
         key = key_of(candidate)
         try:
@@ -228,20 +232,22 @@ def grid_search(
         if not np.isfinite(score):
             failures.append({"key": key, "error": f"non-finite score {score}"})
             continue
-        cells.append({"key": key, "score": score})
-        if best is None or (score, key) < (best[0], best[1]):
-            best = (score, key, candidate)
+        scored.append((key, score, candidate))
 
-    if best is None:
+    if not scored:
         raise AllCellsFailed("every grid cell failed to train")
-    _, best_key, best_candidate = best
+    low = min(score for _, score, _ in scored)
+    best_key, best_score, best_candidate = min(
+        (cell for cell in scored if cell[1] <= low + TIE_TOLERANCE * abs(low)),
+        key=lambda cell: cell[0],
+    )
 
     t0 = time.perf_counter()
     final_model = fit(train, best_candidate)
     final_seconds = time.perf_counter() - t0
     report = TuningReport(
-        cells=cells,
-        best_cell={"key": best_key, "score": best[0]},
+        cells=[{"key": key, "score": score} for key, score, _ in scored],
+        best_cell={"key": best_key, "score": best_score},
         failures=failures,
         tuning_size=tune_set.m,
         fit_size=fit_set.m,

@@ -23,6 +23,7 @@ hierarchy's first pass across a grid search) build it once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,8 +80,8 @@ class KernelSpec:
         if self.kind not in ("linear", "gaussian"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.tau is None or not self.tau > 0:
-                raise ValueError("gaussian kernel needs tau > 0")
+            if self.tau is None or not 0 < self.tau < math.inf:
+                raise ValueError("gaussian kernel needs a finite tau > 0")
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,10 @@ class TsvrParams:
 
     def __post_init__(self):
         for name in ("p1", "p2", "p3", "p4"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.eps1 < 0 or self.eps2 < 0:
-            raise ValueError("tube widths must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not (0 <= self.eps1 < math.inf and 0 <= self.eps2 < math.inf):
+            raise ValueError("tube widths must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,10 @@ class TsvrModel:
         if self.w1.shape != (width,) or self.w2.shape != (width,):
             raise ValueError(f"weights do not have length {width}")
 
-    def support_vector_count(self, rel_tol: float = 1e-6) -> int:
-        """Points whose down- or up-multiplier is active beyond rel_tol."""
+    def support_vector_count(self) -> int:
+        """Points whose down- or up-multiplier exceeds 1e-6 of its bound."""
         d = self.diagnostics
-        active = (d.alpha > rel_tol * self.params.p1) | (
-            d.gamma > rel_tol * self.params.p2
-        )
+        active = (d.alpha > 1e-6 * self.params.p1) | (d.gamma > 1e-6 * self.params.p2)
         return int(np.count_nonzero(active))
 
 
@@ -247,10 +246,6 @@ def assemble_dual_up(ts: TrainingSet, params: TsvrParams, j: NDArray) -> BoxQp:
 QpSolver = Callable[[BoxQp], QpSolution]
 
 
-def _default_solver(problem: BoxQp) -> QpSolution:
-    return solve_box_qp(problem)
-
-
 def train(
     ts: TrainingSet,
     params: TsvrParams,
@@ -264,7 +259,7 @@ def train(
     return a :class:`~twinreg.qp.QpSolution`.  ``design`` is
     ``make_design(ts, params.kernel)`` when the caller already holds it.
     """
-    solver = qp_solver or _default_solver
+    solver = qp_solver or solve_box_qp
     if design is None:
         design = make_design(ts, params.kernel)
     elif design.kernel != params.kernel or design.matrix.shape[0] != ts.m:

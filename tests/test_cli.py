@@ -198,6 +198,39 @@ class TestExitCodes:
             ["predict", "--model-file", str(bad), "--point", "0"]
         ) == EXIT_DATA
 
+    @pytest.mark.parametrize("model, text", [
+        ("tsvr", b"p1 = 2\n"),  # no section header
+        ("tsvr", b"[tsvr]\np1 = 2\np1 = 3\n"),  # duplicate key
+        ("tsvr", b"[tsvr]\np1 = \xff\n"),  # not UTF-8
+        ("tsvr", b"[tsvr]\np1 = inf\n"),
+        ("tsvr", b"[tsvr]\neps1 = nan\n"),
+        ("tsvr", b"[tsvr]\n[kernel]\nkind = gaussian\ntau = inf\n"),
+        ("hftsvr", b"[hierarchy]\neps = inf\n"),
+        ("hftsvr", b"[hierarchy]\ntau1 = inf\n"),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, model, text):
+        data = tmp_path / "line.csv"
+        data.write_text("x1,y\n" + "".join(f"{i},{2 * i}\n" for i in range(6)))
+        config = tmp_path / "bad.ini"
+        config.write_bytes(text)
+        out = tmp_path / "m.json"
+        assert run(["train", "--model", model, "--data", str(data), "--config",
+                    str(config), "--out", str(out)]) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"x1,y\n1,\xff\n")
+        if command == "train":
+            argv = ["train", "--model", "tsvr", "--data", str(bad),
+                    "--out", str(tmp_path / "m.json")]
+        else:
+            argv = ["predict", "--model-file", str(bad), "--point", "0"]
+        assert run(argv) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
     @pytest.fixture()
     def line_model(self, tmp_path, capsys):
         data = tmp_path / "line.csv"

@@ -58,10 +58,34 @@ class TestTsvr:
         "[tsvr]\n[kernel]\nkind = cubic\n",
         "[tsvr]\n[kernel]\nkind = gaussian\n",
         "[tsvr]\n[kernel]\nkind = gaussian\ntau = wide\n",
+        "[tsvr]\np1 = inf\n",
+        "[tsvr]\np4 = nan\n",
+        "[tsvr]\neps1 = nan\n",
+        "[tsvr]\neps2 = inf\n",
+        "[tsvr]\n[kernel]\nkind = gaussian\ntau = inf\n",
     ])
     def test_bad_values(self, ini, text):
         with pytest.raises(ConfigError):
             tsvr_params_from(ini(text))
+
+    @pytest.mark.parametrize("text", [
+        "p1 = 2\n",  # no section header
+        "[tsvr]\np1 = 2\np1 = 3\n",  # duplicate key
+        "[tsvr]\np1 = 2\n[tsvr]\np2 = 3\n",  # duplicate section
+    ])
+    def test_malformed_file(self, ini, text):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            tsvr_params_from(ini(text))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "config.ini"
+        path.write_bytes(b"[tsvr]\np1 = \xff\n")
+        with pytest.raises(ConfigError, match="cannot parse"):
+            tsvr_params_from(path)
+
+    def test_percent_is_plain_text(self, ini):
+        with pytest.raises(ConfigError, match="p1"):
+            tsvr_params_from(ini("[tsvr]\np1 = 50%\n"))
 
     def test_bad_number_names_the_key(self, ini):
         with pytest.raises(ConfigError, match="p2"):
@@ -113,6 +137,13 @@ class TestHierarchy:
         "[hierarchy]\np3 = auto\n",
         "[hierarchy]\ns_factor = 9\n",
         "[hierarchy]\npruning_enabled = maybe\n",
+        "[hierarchy]\neps = inf\n",
+        "[hierarchy]\ntau1 = inf\n",
+        "[hierarchy]\nscale_divisor = nan\n",
+        "[hierarchy]\ntube_tolerance = inf\n",
+        "[hierarchy]\nstop_residual_var = nan\n",
+        "[hierarchy]\nstop_rel_improvement = inf\n",
+        "[hierarchy]\np3 = inf\n",
     ])
     def test_bad_values(self, ini, text):
         with pytest.raises(ConfigError):

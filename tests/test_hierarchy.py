@@ -258,6 +258,15 @@ class TestTrainHierarchy:
             with pytest.raises(ValueError, match="non-finite"):
                 predict_hierarchy(model, np.array([[0.0], [bad]]))
 
+    @pytest.mark.parametrize("name", [
+        "tau1", "scale_divisor", "eps", "tube_tolerance",
+        "stop_residual_var", "stop_rel_improvement",
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            HierarchyConfig(**{name: bad})
+
     def test_config_validation(self):
         with pytest.raises(InvalidDivisor):
             HierarchyConfig(scale_divisor=1.0)

@@ -90,6 +90,36 @@ class TestSolveSpd:
             solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
 
+@pytest.fixture(scope="module")
+def package_designs():
+    """The designs training solves with: linear x^(2/3), and the eigenbasis
+    design of sinc (m=272) at every scale of the default hierarchy."""
+    from twinreg import data as data_mod
+    from twinreg.hierarchy import auto_tau1, scale_schedule
+    from twinreg.tsvr import KernelSpec, make_design
+
+    pow23 = data_mod.generate(data_mod.power_two_thirds_spec(seed=0)).train
+    designs = {"pow23-linear": (make_design(pow23, KernelSpec()).matrix, pow23.y)}
+    sinc = data_mod.generate(data_mod.sinc_spec(seed=0)).train
+    for tau in scale_schedule(auto_tau1(sinc), 2.0, 6):
+        j = make_design(sinc, KernelSpec("gaussian", tau)).matrix
+        designs[f"sinc-tau{tau:.3g}"] = (j, sinc.y)
+    return designs
+
+
+class TestSolveSpdOnPackageSystems:
+    @pytest.mark.parametrize("ridge", [2.0**-9, 1.0, 2.0**9])
+    def test_residual_contract_on_ridge_systems(self, package_designs, ridge):
+        # J'J + ridge I with the right-hand sides of dual assembly (J', one
+        # column per sample) and of primal recovery (one column)
+        for name, (j, y) in package_designs.items():
+            m = j.T @ j + ridge * np.eye(j.shape[1])
+            for rhs in (j.T, j.T @ y):
+                x = solve_spd(m, rhs)
+                resid = np.max(np.abs(m @ x - rhs))
+                assert resid <= 1e-9 * (1 + np.max(np.abs(rhs))), name
+
+
 class TestSolveBoxQp:
     def test_interior_minimum(self):
         sol = solve_box_qp(BoxQp([[1.0]], [-1.0], [0.0], [10.0]))

@@ -77,6 +77,26 @@ class TestGridSearch:
         assert params.p3 == 1.0
         assert params.eps1 == 0.0
 
+    @pytest.mark.parametrize("lower, winner", [
+        (np.nextafter(1.0, 0.0), "smallest"),  # one ulp better: a round-off tie
+        (1.0 - 2.0**-30, "larger"),  # a real gain still wins
+    ])
+    def test_near_tie_within_round_off(self, monkeypatch, lower, winner):
+        # every cell scores 2 except the smallest key, which scores 1.0, and
+        # a larger key, which scores ``lower``
+        from twinreg import search as search_mod
+
+        keys = {"smallest": (1.0, 1.0, 1.0, 1.0, 0.0, 0.0),
+                "larger": (4.0, 4.0, 4.0, 4.0, 0.0, 0.0)}
+        scores = {keys["smallest"]: 1.0, keys["larger"]: lower}
+        monkeypatch.setattr(search_mod, "fit", lambda ts, params, designs=None: params)
+        monkeypatch.setattr(search_mod, "predict", lambda model, x: search_mod._tsvr_key(model))
+        monkeypatch.setattr(search_mod, "_score", lambda y, key, objective: scores.get(key, 2.0))
+        grid = GridSpec(exponent_low=0, exponent_high=2)
+        params, report = grid_search(line_dataset(), "tsvr", grid, seed=0)
+        assert search_mod._tsvr_key(params) == keys[winner]
+        assert report.best_cell["key"] == keys[winner]
+
     def test_deterministic_given_seed(self):
         ds = noisy_sinc(seed=1)
         grid = GridSpec(exponent_low=-2, exponent_high=2, exponent_step=2)

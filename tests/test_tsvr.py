@@ -388,6 +388,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             KernelSpec("poly", 1.0)
 
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p4", "eps1", "eps2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_params_reject_non_finite(self, name, bad):
+        values = {"p1": 1.0, "p2": 1.0, "p3": 1.0, "p4": 1.0, name: bad}
+        with pytest.raises(ValueError, match="finite"):
+            TsvrParams(**values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_kernel_tau_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec("gaussian", bad)
+
     def test_training_set_validation(self):
         with pytest.raises(ValueError):
             TrainingSet(np.zeros((2, 1)), np.zeros(3))
