@@ -2,12 +2,12 @@
 
 Every dual problem in this package has the same shape: minimize
 ``1/2 a'Qa + c'a`` over a box ``lower <= a <= upper`` where Q is symmetric
-positive definite.  This module provides the production solver
-(:func:`solve_box_qp`, projected gradient with exact line search plus an
-active-set polish), the SPD solve used to form Q, recover primal weights and
-polish the QP (:func:`solve_spd`, one Cholesky factor and solve, never an
-explicit inverse or a refinement pass), and a brute-force grid oracle
-(:func:`box_qp_oracle`) used only by tests.
+positive semidefinite (a linear-mode dual has rank d+1).  This module provides
+the production solver (:func:`solve_box_qp`, projected gradient with exact
+line search plus an active-set polish), the SPD solve used to form Q, recover
+primal weights and polish the QP (:func:`solve_spd`, a ``numpy.linalg``
+Cholesky factor and two triangular solves, never an explicit inverse), and a
+brute-force grid oracle (:func:`box_qp_oracle`) used only by tests.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class MaxIterationsExceeded(Exception):
 class BoxQp:
     """Minimize ``1/2 a'Qa + c'a`` subject to ``lower <= a <= upper``.
 
-    ``q`` must be symmetric positive definite; bounds may be degenerate
+    ``q`` must be symmetric positive semidefinite; bounds may be degenerate
     (``lower == upper`` pins a coordinate).
     """
 
@@ -109,16 +109,14 @@ def _validate_spd(m_matrix: NDArray[np.float64]) -> NDArray[np.float64]:
 def solve_spd(m_matrix: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArray[np.float64]:
     """Solve ``M X = rhs`` for symmetric positive definite M.
 
-    One Cholesky factorization and one pair of triangular solves, never an
-    explicit inverse.  On the ridge systems ``J'J + p I`` training builds this
-    keeps ``||M X - rhs||_inf <= 1e-9 * (1 + ||rhs||_inf)``: the worst residual
-    over the benchmark grids was 2.4e-4 of that bound, and ``tests/test_qp.py``
+    ``numpy.linalg.cholesky`` factors M = LL', then two solves with the
+    triangular factors give X; never an explicit inverse.  On the ridge
+    systems ``J'J + p I`` training builds this keeps
+    ``||M X - rhs||_inf <= 1e-9 * (1 + ||rhs||_inf)``; ``tests/test_qp.py``
     checks it on the package's own designs at ridges 2^-9, 1 and 2^9.
 
-    Raises :class:`NotPositiveDefinite` when a pivot fails (M is not PD).
+    Raises :class:`NotPositiveDefinite` when the factor or a solve fails.
     """
-    import scipy.linalg
-
     m = _validate_spd(m_matrix)
     b = np.asarray(rhs, dtype=float)
     if b.shape[0] != m.shape[0]:
@@ -126,10 +124,10 @@ def solve_spd(m_matrix: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArra
             f"rhs has {b.shape[0]} rows, expected {m.shape[0]}"
         )
     try:
-        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+        factor = np.linalg.cholesky(m)
+        return np.linalg.solve(factor.T, np.linalg.solve(factor, b))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def _kkt_residual(qp: BoxQp, alpha: NDArray[np.float64], grad: NDArray[np.float64]) -> float:
@@ -144,13 +142,14 @@ def solve_box_qp(
     tol: float = 1e-8,
     max_iter: int | None = None,
 ) -> QpSolution:
-    """Minimize a box-constrained SPD quadratic.
+    """Minimize a box-constrained PSD quadratic.
 
     Projected-gradient descent with exact line search along the free-set
     direction, interleaved with an active-set polish: once the gradient signs
-    identify the clamped coordinates, the reduced SPD system on the free set
-    is solved exactly, which makes convergence effectively finite for the
-    problem sizes used here.
+    identify the clamped coordinates, the reduced system on the free set is
+    solved exactly with :func:`solve_spd`.  On a singular face it raises
+    :class:`NotPositiveDefinite` and the polish is skipped; a polished point
+    is kept only when it lowers the objective.
 
     Deterministic for fixed inputs.  The returned iterate satisfies the box
     bounds exactly.  Raises :class:`MaxIterationsExceeded` (carrying the best

@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial.distance import cdist
 
 from .qp import BoxQp, QpSolution, solve_box_qp, solve_spd
 
@@ -157,9 +156,16 @@ def gaussian_kernel(x: NDArray, z: NDArray, tau: float) -> NDArray[np.float64]:
     """K_ij = exp(-||x_i - z_j||^2 / tau^2)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    # In place in the cdist buffer: IEEE division is sign-symmetric, so this is
-    # bit for bit exp(-d2 / tau^2) without two temporary m x n arrays.
-    k = cdist(x, z, "sqeuclidean")
+    if x.shape[1] != z.shape[1]:
+        raise ValueError(f"inputs have {x.shape[1]} and {z.shape[1]} columns")
+    # Squared distances summed per column in one m x n buffer, then scaled in
+    # place: IEEE division is sign-symmetric, so this is exp(-d2 / tau^2).
+    k = np.subtract.outer(x[:, 0], z[:, 0])
+    k *= k
+    for xc, zc in zip(x.T[1:], z.T[1:]):
+        diff = np.subtract.outer(xc, zc)
+        diff *= diff
+        k += diff
     np.divide(k, -(tau * tau), out=k)
     return np.exp(k, out=k)
 
@@ -352,9 +358,3 @@ def slack_down(model: TsvrModel, ts: TrainingSet) -> NDArray[np.float64]:
     """Recovered inequality slack of the down problem: max(0, -r - eps1)."""
     h1, _ = predict_components(model, ts.a)
     return np.maximum(0.0, -(ts.y - h1) - model.params.eps1)
-
-
-def slack_up(model: TsvrModel, ts: TrainingSet) -> NDArray[np.float64]:
-    """Mirror slack of the up problem: max(0, -(h2 - y) - eps2)."""
-    _, h2 = predict_components(model, ts.a)
-    return np.maximum(0.0, -(h2 - ts.y) - model.params.eps2)

@@ -82,8 +82,10 @@ class TestSolveSpd:
         np.testing.assert_allclose(solve_spd(m, rhs), rhs / 2.0, atol=1e-12)
 
     def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
+        # Indefinite, then exactly singular PSD (a zero pivot).
+        for m in ([[1.0, 0.0], [0.0, -1.0]], [[1.0, 1.0], [1.0, 1.0]]):
+            with pytest.raises(NotPositiveDefinite):
+                solve_spd(np.array(m), np.zeros(2))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

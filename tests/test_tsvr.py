@@ -64,6 +64,10 @@ class TestBuildDesign:
         np.testing.assert_allclose(k, k.T, atol=1e-15)
         np.testing.assert_allclose(np.diag(k), 1.0, atol=1e-15)
 
+    def test_kernel_rejects_different_widths(self):
+        with pytest.raises(ValueError):
+            gaussian_kernel(np.zeros((3, 2)), np.zeros((4, 1)), 1.0)
+
     def test_kernel_bitwise_equals_textbook_expression(self):
         from scipy.spatial.distance import cdist
 
