@@ -4,10 +4,11 @@ Every dual problem in this package has the same shape: minimize
 ``1/2 a'Qa + c'a`` over a box ``lower <= a <= upper`` where Q is symmetric
 positive semidefinite (a linear-mode dual has rank d+1).  This module provides
 the production solver (:func:`solve_box_qp`, projected gradient with exact
-line search plus an active-set polish), the SPD solve used to form Q, recover
-primal weights and polish the QP (:func:`solve_spd`, a ``numpy.linalg``
-Cholesky factor and two triangular solves, never an explicit inverse), and a
-brute-force grid oracle (:func:`box_qp_oracle`) used only by tests.
+line search plus a conjugate-gradient polish on the free face, which needs no
+factor and so works on singular faces), the SPD solve that dual assembly and
+primal recovery use (:func:`solve_spd`, a ``numpy.linalg`` Cholesky factor
+and two triangular solves, never an explicit inverse), and a brute-force grid
+oracle (:func:`box_qp_oracle`) used only by tests.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ class BoxQp:
     """Minimize ``1/2 a'Qa + c'a`` subject to ``lower <= a <= upper``.
 
     ``q`` must be symmetric positive semidefinite; bounds may be degenerate
-    (``lower == upper`` pins a coordinate).
+    (``lower == upper`` pins a coordinate) or infinite.  Construction raises
+    ``ValueError`` when ``q`` or ``c`` is not finite, a bound is NaN, or ``q``
+    is not symmetric to within ``1e-12 * max(1, max|q|)``; definiteness is
+    not checked.
     """
 
     q: NDArray[np.float64]
@@ -64,8 +68,13 @@ class BoxQp:
             raise ValueError(f"Q has shape {q.shape}, expected ({n}, {n})")
         if lower.size != n or upper.size != n:
             raise ValueError("bound vectors must match the dimension of c")
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(c))):
+            raise ValueError("Q and c must be finite")
+        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            raise ValueError("bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
+        _validate_symmetric(q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "lower", lower)
@@ -86,21 +95,30 @@ class QpSolution:
 
     ``alpha`` satisfies the box bounds exactly (it is the output of a final
     projection); ``kkt_residual`` is the max-norm of ``alpha - P(alpha - g)``
-    where P projects onto the box and g is the gradient.
+    where P projects onto the box and g is the gradient.  ``iterations``
+    counts projected-gradient steps, each followed by one polish;
+    ``cg_steps`` counts the conjugate-gradient steps (one product ``q @ p``
+    each) over all polishes, and ``polish_rejected`` the polished points
+    that did not lower the objective and were dropped.
     """
 
     alpha: NDArray[np.float64]
     objective: float
     iterations: int
     kkt_residual: float
+    cg_steps: int = 0
+    polish_rejected: int = 0
 
 
-def _validate_spd(m_matrix: NDArray[np.float64]) -> NDArray[np.float64]:
+def _validate_symmetric(m_matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     m = np.asarray(m_matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    if m.size == 0:
+        return m
+    scale = max(float(m.max()), -float(m.min()))
+    # M - M' is antisymmetric, so its largest entry is its largest magnitude.
+    asym = float(np.max(m - m.T))
     if asym > 1e-12 * max(1.0, scale):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     return m
@@ -117,7 +135,7 @@ def solve_spd(m_matrix: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArra
 
     Raises :class:`NotPositiveDefinite` when the factor or a solve fails.
     """
-    m = _validate_spd(m_matrix)
+    m = _validate_symmetric(m_matrix)
     b = np.asarray(rhs, dtype=float)
     if b.shape[0] != m.shape[0]:
         raise ValueError(
@@ -145,11 +163,17 @@ def solve_box_qp(
     """Minimize a box-constrained PSD quadratic.
 
     Projected-gradient descent with exact line search along the free-set
-    direction, interleaved with an active-set polish: once the gradient signs
-    identify the clamped coordinates, the reduced system on the free set is
-    solved exactly with :func:`solve_spd`.  On a singular face it raises
-    :class:`NotPositiveDefinite` and the polish is skipped; a polished point
-    is kept only when it lowers the objective.
+    direction, interleaved with a polish by conjugate gradients on the free
+    face: once the gradient signs identify the clamped coordinates, CG
+    minimizes over the free coordinates from the current iterate, one
+    product ``q @ p`` per step with the clamped entries zeroed.  CG stops at
+    flat curvature (``p'Qp <= 1e-14 trace(Q) p'p``: the face is singular
+    along p), at a residual floor, after as many steps as there are free
+    coordinates, or on the first bound a step would cross, where that step
+    is cut short; on a face of rank r it ends within r + 1 products.  The
+    clipped CG point is kept only when it lowers the objective.  No
+    factorization is made, so a PSD Hessian of any rank is handled the same
+    way.
 
     Deterministic for fixed inputs.  The returned iterate satisfies the box
     bounds exactly.  Raises :class:`MaxIterationsExceeded` (carrying the best
@@ -166,52 +190,72 @@ def solve_box_qp(
     q, c = problem.q, problem.c
     lower, upper = problem.lower, problem.upper
     pinned = lower == upper  # degenerate coordinates stay fixed throughout
+    # trace(Q) >= ||Q||_2 for PSD Q, so round-off curvature falls below this
+    flat_curvature = 1e-14 * float(np.trace(q))
 
-    x = np.clip(np.zeros(n), lower, upper)
-    fx = problem.objective(x)
+    def clamped_at(x, grad):
+        return pinned | ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
+
+    def evaluate(x):  # (x, Qx, objective): one product serves f and the gradient
+        qx = q @ x
+        return x, qx, float(0.5 * x @ qx + c @ x)
+
+    x, qx, fx = evaluate(np.clip(np.zeros(n), lower, upper))
     best_x, best_kkt = x, np.inf
+    cg_steps = polish_rejected = 0
 
     for iteration in range(1, max_iter + 1):
-        grad = q @ x + c
+        grad = qx + c
         kkt = _kkt_residual(problem, x, grad)
         if kkt < best_kkt:
             best_x, best_kkt = x, kkt
         if kkt <= tol:
-            return QpSolution(x, fx, iteration - 1, kkt)
+            return QpSolution(x, fx, iteration - 1, kkt, cg_steps, polish_rejected)
 
-        clamped = pinned | ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
-        direction = np.where(clamped, 0.0, -grad)
+        direction = np.where(clamped_at(x, grad), 0.0, -grad)
         curvature = direction @ (q @ direction)
         if curvature > 0:
             step = (direction @ direction) / curvature
-            candidate = np.clip(x + step * direction, lower, upper)
-            f_candidate = problem.objective(candidate)
+            candidate = evaluate(np.clip(x + step * direction, lower, upper))
             # Projection can break the exact-line-search guarantee; halve the
             # step until the move is a strict descent.
-            while f_candidate > fx and step > 1e-30:
+            while candidate[2] > fx and step > 1e-30:
                 step *= 0.5
-                candidate = np.clip(x + step * direction, lower, upper)
-                f_candidate = problem.objective(candidate)
-            if f_candidate <= fx:
-                x, fx = candidate, f_candidate
+                candidate = evaluate(np.clip(x + step * direction, lower, upper))
+            if candidate[2] <= fx:
+                x, qx, fx = candidate
 
-        # Active-set polish: exact solve on the free coordinates.
-        grad = q @ x + c
-        clamped = pinned | ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
-        free = ~clamped
-        if free.any():
-            rhs = -(c[free] + q[np.ix_(free, clamped)] @ x[clamped])
-            try:
-                x_free = solve_spd(q[np.ix_(free, free)], rhs)
-            except NotPositiveDefinite:
-                x_free = None
-            if x_free is not None:
-                candidate = x.copy()
-                candidate[free] = x_free
-                candidate = np.clip(candidate, lower, upper)
-                f_candidate = problem.objective(candidate)
-                if f_candidate < fx:
-                    x, fx = candidate, f_candidate
+        # Polish: conjugate gradients on the free face, from x.
+        grad = qx + c
+        free = ~clamped_at(x, grad)
+        residual = np.where(free, -grad, 0.0)
+        rr = float(residual @ residual)
+        rr_floor = (1e-14 * max(1.0, float(np.max(np.abs(grad))))) ** 2
+        y, p, moved = x.copy(), residual.copy(), False
+        for _ in range(int(np.count_nonzero(free))):
+            if rr <= rr_floor:
+                break
+            q_p = np.where(free, q @ p, 0.0)
+            cg_steps += 1
+            p_curv = float(p @ q_p)
+            if p_curv <= flat_curvature * float(p @ p):
+                break
+            step = rr / p_curv
+            moving = p != 0
+            room = float(np.min((np.where(p > 0, upper, lower) - y)[moving] / p[moving]))
+            y += min(step, room) * p
+            moved = True
+            if room < step:
+                break  # stopped on the first bound the step meets
+            residual -= step * q_p
+            rr, rr_old = float(residual @ residual), rr
+            p = residual + (rr / rr_old) * p
+        if moved:
+            candidate = evaluate(np.clip(y, lower, upper))
+            if candidate[2] < fx:
+                x, qx, fx = candidate
+            else:
+                polish_rejected += 1
 
     grad = q @ best_x + c
     raise MaxIterationsExceeded(best_x, _kkt_residual(problem, best_x, grad))

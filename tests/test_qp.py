@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from twinreg import qp as qp_mod
 from twinreg.qp import (
     BoxQp,
     DimensionTooLarge,
     MaxIterationsExceeded,
     NotPositiveDefinite,
+    QpSolution,
     box_qp_oracle,
     solve_box_qp,
     solve_spd,
@@ -46,6 +48,30 @@ def random_spd_qp(rng, n, max_cond=1e4, lam_hi=0.2):
     upper = rng.uniform(0.05, 0.3, n)
     target = rng.uniform(1.6 * lower, 1.6 * upper)
     return BoxQp(q, -q @ target, lower, upper)
+
+
+def random_psd_qp(rng, n, rank, lam_hi=0.2):
+    """Random box QP whose Hessian is PSD of the given rank; c has a
+    component outside the range of Q, which pushes the optimum onto the box."""
+    g = rng.normal(size=(n, rank))
+    q = g @ g.T
+    q *= 10 ** rng.uniform(-2, np.log10(lam_hi)) / np.linalg.eigvalsh(q)[-1]
+    q = 0.5 * (q + q.T)
+    lower = rng.uniform(-0.3, -0.05, n)
+    upper = rng.uniform(0.05, 0.3, n)
+    target = rng.uniform(1.6 * lower, 1.6 * upper)
+    return BoxQp(q, -q @ target + 0.01 * rng.normal(size=n), lower, upper)
+
+
+def pow23_dual(seed, p, ridge, assemble="up"):
+    """A linear-mode x^(2/3) dual: m = 200, Hessian of rank 2."""
+    from twinreg import data as data_mod
+    from twinreg import tsvr
+
+    ts = data_mod.generate(data_mod.power_two_thirds_spec(seed=seed)).train
+    j = tsvr.make_design(ts, tsvr.KernelSpec()).matrix
+    params = tsvr.TsvrParams(p, p, ridge, ridge)
+    return getattr(tsvr, f"assemble_dual_{assemble}")(ts, params, j)
 
 
 class TestSolveSpd:
@@ -182,6 +208,71 @@ class TestSolveBoxQp:
             problem = random_spd_qp(rng, 4)
             sol = solve_box_qp(problem, tol=1e-8)
             assert sol.kkt_residual <= 1e-8
+
+
+class TestBoxQpContract:
+    @pytest.mark.parametrize(
+        "q, c, lower, upper",
+        [
+            ([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]),
+            ([[1.0, np.inf], [np.inf, 1.0]], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]),
+            ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0], [0.0, 0.0], [1.0, 1.0]),
+            ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [0.0, np.nan], [1.0, 1.0]),
+        ],
+        ids=["asymmetric-q", "infinite-q", "nan-c", "nan-bound"],
+    )
+    def test_rejected_at_construction(self, q, c, lower, upper):
+        with pytest.raises(ValueError):
+            BoxQp(np.array(q), np.array(c), np.array(lower), np.array(upper))
+
+    def test_infinite_bounds_allowed(self):
+        problem = BoxQp([[1.0]], [-1.0], [-np.inf], [np.inf])
+        np.testing.assert_allclose(solve_box_qp(problem).alpha, [1.0], atol=1e-10)
+
+    def test_counters_default_to_zero(self):
+        sol = QpSolution(np.zeros(1), 0.0, 0, 0.0)
+        assert (sol.cg_steps, sol.polish_rejected) == (0, 0)
+
+
+class TestSolveBoxQpOnPsdDuals:
+    """Duals are PSD, not SPD: a linear-mode Hessian has rank d+1 = 2."""
+
+    def test_objective_agreement_low_rank_instances(self):
+        rng = np.random.default_rng(2024)
+        for rep in range(60):
+            problem = random_psd_qp(rng, 3 + rep % 3, 1 + rep % 2)
+            sol = solve_box_qp(problem)
+            point = box_qp_oracle(problem, 2e-3)
+            assert abs(sol.objective - problem.objective(point)) <= 1e-4
+
+    def test_solved_without_any_factorization(self, monkeypatch):
+        from twinreg import data as data_mod
+        from twinreg import hierarchy, tsvr
+
+        sinc = data_mod.generate(data_mod.sinc_spec(seed=0)).train
+        kernel = tsvr.KernelSpec(
+            "gaussian", hierarchy.scale_schedule(hierarchy.auto_tau1(sinc), 2.0, 3)[2]
+        )
+        problems = [
+            pow23_dual(47, 512.0, 2.0**-9),
+            tsvr.assemble_dual_up(
+                sinc, tsvr.TsvrParams(512.0, 512.0, 0.125, 0.125, kernel=kernel),
+                tsvr.make_design(sinc, kernel).matrix,
+            ),
+        ]
+
+        def no_factor(*args, **kwargs):
+            raise NotPositiveDefinite("no factorization in the QP")
+
+        monkeypatch.setattr(qp_mod, "solve_spd", no_factor)
+        for problem in problems:
+            assert solve_box_qp(problem).kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("assemble", ["down", "up"])
+    def test_cg_ends_within_rank_steps(self, assemble):
+        for seed, p, ridge in [(0, 8.0, 1.0), (3, 128.0, 2.0**-9), (47, 512.0, 2.0**-9)]:
+            sol = solve_box_qp(pow23_dual(seed, p, ridge, assemble))
+            assert sol.cg_steps <= 3 * (sol.iterations + 1)
 
 
 class TestBoxQpOracle:

@@ -190,6 +190,20 @@ class TestTrain:
             grid = np.linspace(-2, 2, 21)[:, None]
             np.testing.assert_allclose(predict(a, grid), predict(b, grid), atol=1e-3)
 
+    def test_pow23_seed_47_trains(self):
+        # Its up dual (rank-2 Hessian, m = 200) stalls projected gradient at
+        # KKT 9.4e-5 unless the polish can move on singular faces; failing it,
+        # run_benchmark records pow23 base seeds 40 and 46 as failed.
+        from twinreg import data as data_mod
+
+        ts = data_mod.generate(data_mod.power_two_thirds_spec(47)).train
+        params = TsvrParams(512, 512, 2**-9, 2**-9)
+        diag = train(ts, params).diagnostics
+        assert np.all((diag.gamma >= 0) & (diag.gamma <= params.p2))
+        j = make_design(ts, KernelSpec()).matrix
+        for assemble in (assemble_dual_down, assemble_dual_up):
+            assert solve_box_qp(assemble(ts, params, j)).kkt_residual <= 1e-8
+
     def test_monotone_tube_support_counts(self):
         # growing the tube never increases the count of active multipliers
         # (points at the loss-weight bound migrate to the border band as the
