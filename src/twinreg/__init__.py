@@ -30,7 +30,7 @@ from .hierarchy import (
 )
 from .metrics import MetricsReport, metrics
 from .model_io import load_model, save_model
-from .qp import BoxQp, QpSolution, box_qp_oracle, solve_box_qp, solve_spd
+from .qp import BoxQp, LowRankHessian, QpSolution, box_qp_oracle, solve_box_qp, solve_spd
 from .search import GridSpec, grid_search
 from .tsvr import (
     KernelSpec,
@@ -52,6 +52,7 @@ __all__ = [
     "HfTsvrModel",
     "HierarchyConfig",
     "KernelSpec",
+    "LowRankHessian",
     "MetricsReport",
     "QpSolution",
     "SyntheticSpec",

@@ -2,17 +2,24 @@
 
 Every dual problem in this package has the same shape: minimize
 ``1/2 a'Qa + c'a`` over a box ``lower <= a <= upper`` where Q is symmetric
-positive semidefinite (a linear-mode dual has rank d+1).  This module provides
-the production solver (:func:`solve_box_qp`, projected gradient with exact
-line search plus a conjugate-gradient polish on the free face, which needs no
-factor and so works on singular faces), the SPD solve that dual assembly and
-primal recovery use (:func:`solve_spd`, a ``numpy.linalg`` Cholesky factor
-and two triangular solves, never an explicit inverse), and a brute-force grid
+positive semidefinite (a linear-mode dual has rank d+1).  Q may be a dense
+array or a :class:`LowRankHessian`, the thin factor pair ``Q = left @ right``
+that dual assembly produces: the solver only multiplies by Q, so a factored Q
+costs O(mk) per product and the m x m matrix is never formed.  The symmetry
+of a factored Q is the caller's contract; :class:`BoxQp` probes it once.
+
+This module provides the production solver (:func:`solve_box_qp`, projected
+gradient with exact line search plus a conjugate-gradient polish on the free
+face, which needs no factor and so works on singular faces), the SPD solve
+that dual assembly and primal recovery use (:func:`solve_spd`, a
+``numpy.linalg`` Cholesky factor as the definiteness check, then one
+``numpy.linalg.solve``, never an explicit inverse), and a brute-force grid
 oracle (:func:`box_qp_oracle`) used only by tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +49,57 @@ class MaxIterationsExceeded(Exception):
         self.kkt_residual = kkt_residual
 
 
+@dataclass(frozen=True, eq=False)
+class LowRankHessian(np.lib.mixins.NDArrayOperatorsMixin):
+    """The m x m matrix ``left @ right`` kept as its factors (m x k, k x m).
+
+    ``q @ v`` costs O(mk) and returns an array; ``trace()`` is O(mk) too.
+    ``np.asarray(q)`` forms the dense product, and any other numpy operator
+    or ufunc acts on that dense matrix.  Symmetry is not checked here: it is
+    a property of how the factors were made.
+    """
+
+    left: NDArray[np.float64]
+    right: NDArray[np.float64]
+
+    def __post_init__(self):
+        left = np.asarray(self.left, dtype=float)
+        right = np.asarray(self.right, dtype=float)
+        if left.ndim != 2 or right.shape != left.shape[::-1]:
+            raise ValueError(
+                f"factors of shapes {left.shape} and {right.shape} do not "
+                "form a square matrix"
+            )
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.left.shape[0], self.left.shape[0])
+
+    def trace(self) -> float:
+        return float(np.einsum("ij,ji->", self.left, self.right))
+
+    def __matmul__(self, other):
+        return self.left @ (self.right @ other)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.left @ self.right, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class BoxQp:
     """Minimize ``1/2 a'Qa + c'a`` subject to ``lower <= a <= upper``.
 
-    ``q`` must be symmetric positive semidefinite; bounds may be degenerate
-    (``lower == upper`` pins a coordinate) or infinite.  Construction raises
-    ``ValueError`` when ``q`` or ``c`` is not finite, a bound is NaN, or ``q``
-    is not symmetric to within ``1e-12 * max(1, max|q|)``; definiteness is
-    not checked.
+    ``q`` must be symmetric positive semidefinite, given as a dense array or
+    as a :class:`LowRankHessian`; bounds may be degenerate (``lower ==
+    upper`` pins a coordinate) or infinite.  Construction raises
+    ``ValueError`` when ``q`` (or either factor) or ``c`` is not finite, a
+    bound is NaN, or ``q`` is not symmetric; definiteness is not checked.  A
+    dense ``q`` must be symmetric to within ``1e-12 * max(1, max|q|)``.  A
+    factored ``q`` is symmetric by the caller's contract, and is probed once
+    in O(mk): for two fixed vectors u and v, ``|u'Qv - v'Qu|`` must stay
+    within 1e-8 of the size either term could reach.
     """
 
     q: NDArray[np.float64]
@@ -59,7 +108,8 @@ class BoxQp:
     upper: NDArray[np.float64]
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        factored = isinstance(self.q, LowRankHessian)
+        q = self.q if factored else np.asarray(self.q, dtype=float)
         c = np.asarray(self.c, dtype=float).ravel()
         lower = np.asarray(self.lower, dtype=float).ravel()
         upper = np.asarray(self.upper, dtype=float).ravel()
@@ -68,13 +118,17 @@ class BoxQp:
             raise ValueError(f"Q has shape {q.shape}, expected ({n}, {n})")
         if lower.size != n or upper.size != n:
             raise ValueError("bound vectors must match the dimension of c")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(c))):
+        finite = [q.left, q.right, c] if factored else [q, c]
+        if not all(np.all(np.isfinite(x)) for x in finite):
             raise ValueError("Q and c must be finite")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
             raise ValueError("bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
-        _validate_symmetric(q)
+        if factored:
+            _probe_symmetric(q)
+        else:
+            _validate_symmetric(q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "lower", lower)
@@ -86,7 +140,7 @@ class BoxQp:
 
     def objective(self, alpha: NDArray[np.float64]) -> float:
         alpha = np.asarray(alpha, dtype=float)
-        return float(0.5 * alpha @ self.q @ alpha + self.c @ alpha)
+        return float(0.5 * alpha @ (self.q @ alpha) + self.c @ alpha)
 
 
 @dataclass(frozen=True)
@@ -124,11 +178,27 @@ def _validate_symmetric(m_matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     return m
 
 
+def _probe_symmetric(q: LowRankHessian) -> None:
+    """Compare ``u'Qv`` with ``v'Qu`` for two fixed vectors, in O(mk)."""
+    steps = np.arange(1, q.shape[0] + 1)
+    u, v = np.sin(1.7 * steps), np.cos(2.3 * steps)
+    u_left, v_left = u @ q.left, v @ q.left
+    right_u, right_v = q.right @ u, q.right @ v
+    asym = abs(float(u_left @ right_v) - float(v_left @ right_u))
+    # Cauchy-Schwarz bounds each term by the product of its factor norms.
+    scale = (np.linalg.norm(u_left) * np.linalg.norm(right_v)
+             + np.linalg.norm(v_left) * np.linalg.norm(right_u))
+    if asym > 1e-8 * scale:
+        raise ValueError(f"factored matrix is not symmetric (probe asymmetry {asym:.3e})")
+
+
 def solve_spd(m_matrix: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArray[np.float64]:
     """Solve ``M X = rhs`` for symmetric positive definite M.
 
-    ``numpy.linalg.cholesky`` factors M = LL', then two solves with the
-    triangular factors give X; never an explicit inverse.  On the ridge
+    ``numpy.linalg.cholesky`` checks that M is positive definite, then one
+    ``numpy.linalg.solve`` (an LU solve) gives X; never an explicit inverse.
+    numpy has no triangular solve, so solving with the Cholesky factors would
+    factor each of them again.  On the ridge
     systems ``J'J + p I`` training builds this keeps
     ``||M X - rhs||_inf <= 1e-9 * (1 + ||rhs||_inf)``; ``tests/test_qp.py``
     checks it on the package's own designs at ridges 2^-9, 1 and 2^9.
@@ -142,8 +212,8 @@ def solve_spd(m_matrix: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArra
             f"rhs has {b.shape[0]} rows, expected {m.shape[0]}"
         )
     try:
-        factor = np.linalg.cholesky(m)
-        return np.linalg.solve(factor.T, np.linalg.solve(factor, b))
+        np.linalg.cholesky(m)
+        return np.linalg.solve(m, b)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
 
@@ -179,11 +249,13 @@ def solve_box_qp(
     bounds exactly.  Raises :class:`MaxIterationsExceeded` (carrying the best
     iterate) if the KKT measure does not fall below ``tol`` in time.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     n = problem.dim
     if max_iter is None:
         max_iter = 50 * n + 1000
+    elif max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if n == 0:
         return QpSolution(np.zeros(0), 0.0, 0, 0.0)
 
@@ -191,7 +263,7 @@ def solve_box_qp(
     lower, upper = problem.lower, problem.upper
     pinned = lower == upper  # degenerate coordinates stay fixed throughout
     # trace(Q) >= ||Q||_2 for PSD Q, so round-off curvature falls below this
-    flat_curvature = 1e-14 * float(np.trace(q))
+    flat_curvature = 1e-14 * float(q.trace())
 
     def clamped_at(x, grad):
         return pinned | ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
@@ -266,11 +338,11 @@ def solve_box_qp(
 _ORACLE_AXIS_POINTS = {1: 4097, 2: 257, 3: 49, 4: 21, 5: 13}
 
 
-def _grid_best(qp: BoxQp, lo: NDArray, hi: NDArray, points: int):
-    axes = [np.linspace(lo[j], hi[j], points) for j in range(qp.dim)]
+def _grid_best(q: NDArray, c: NDArray, lo: NDArray, hi: NDArray, points: int):
+    axes = [np.linspace(lo[j], hi[j], points) for j in range(c.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = 0.5 * np.sum((pts @ qp.q) * pts, axis=1) + pts @ qp.c
+    vals = 0.5 * np.sum((pts @ q) * pts, axis=1) + pts @ c
     best = int(np.argmin(vals))
     return pts, vals, best
 
@@ -294,7 +366,8 @@ def box_qp_oracle(problem: BoxQp, grid_step: float = 1e-3) -> NDArray[np.float64
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
 
-    lam_max = float(np.max(np.linalg.eigvalsh(problem.q)))
+    q = np.asarray(problem.q)
+    lam_max = float(np.max(np.linalg.eigvalsh(q)))
     lo = problem.lower.copy()
     hi = problem.upper.copy()
     best_point = None
@@ -306,7 +379,7 @@ def box_qp_oracle(problem: BoxQp, grid_step: float = 1e-3) -> NDArray[np.float64
         if width > 0:
             needed = int(np.ceil(width / grid_step)) + 1
             points = min(points, max(needed, 2))
-        pts, vals, idx = _grid_best(problem, lo, hi, points)
+        pts, vals, idx = _grid_best(q, problem.c, lo, hi, points)
         if vals[idx] < best_value:
             best_value = float(vals[idx])
             best_point = pts[idx].copy()

@@ -19,6 +19,13 @@ gives the dense solution, with coefficients over the basis as before.  A
 :class:`Design` holds that reduced matrix and ``Q_r``; it depends only on the
 inputs and the kernel, so callers that fit the same inputs many times (the
 hierarchy's first pass across a grid search) build it once.
+
+Each dual Hessian ``H = J (J'J + rho I)^-1 J'`` has rank at most r + 1, and
+reaches the QP as its two thin factors, J and ``X = (J'J + rho I)^-1 J'``
+(a :class:`~twinreg.qp.LowRankHessian`): every product with H costs O(m r)
+and the m x m matrix is never formed.  H is symmetric by construction, up to
+the round-off of the solve that makes X; :class:`~twinreg.qp.BoxQp` probes
+that once per dual.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .qp import BoxQp, QpSolution, solve_box_qp, solve_spd
+from .qp import BoxQp, LowRankHessian, QpSolution, solve_box_qp, solve_spd
 
 
 class DimensionMismatch(Exception):
@@ -212,11 +219,13 @@ def make_design(ts: TrainingSet, kernel: KernelSpec) -> Design:
     return Design(np.hstack([q_r * lam[keep], j[:, -1:]]), q_r, kernel)
 
 
-def _dual_hessian(j: NDArray[np.float64], ridge: float) -> NDArray[np.float64]:
-    """H = J (J'J + ridge I)^-1 J', formed by solving, never inverting."""
+def _dual_hessian(j: NDArray[np.float64], ridge: float) -> LowRankHessian:
+    """H = J (J'J + ridge I)^-1 J' as its factors J and X = (J'J + ridge I)^-1 J'.
+
+    X comes from one SPD solve, never an inverse; H itself is never formed.
+    """
     m_small = j.T @ j + ridge * np.eye(j.shape[1])
-    h = j @ solve_spd(m_small, j.T)
-    return 0.5 * (h + h.T)  # kill round-off asymmetry before the QP
+    return LowRankHessian(j, solve_spd(m_small, j.T))
 
 
 def assemble_dual_down(ts: TrainingSet, params: TsvrParams, j: NDArray) -> BoxQp:

@@ -7,6 +7,7 @@ from twinreg import qp as qp_mod
 from twinreg.qp import (
     BoxQp,
     DimensionTooLarge,
+    LowRankHessian,
     MaxIterationsExceeded,
     NotPositiveDefinite,
     QpSolution,
@@ -209,6 +210,16 @@ class TestSolveBoxQp:
             sol = solve_box_qp(problem, tol=1e-8)
             assert sol.kkt_residual <= 1e-8
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": np.nan}, {"tol": np.inf}, {"max_iter": 0}],
+        ids=["nan-tol", "infinite-tol", "zero-max-iter"],
+    )
+    def test_rejects_bad_arguments(self, kwargs):
+        # The starting point 0 is optimal, so only the check can raise.
+        with pytest.raises(ValueError):
+            solve_box_qp(BoxQp([[1.0]], [0.0], [0.0], [1.0]), **kwargs)
+
 
 class TestBoxQpContract:
     @pytest.mark.parametrize(
@@ -232,6 +243,66 @@ class TestBoxQpContract:
     def test_counters_default_to_zero(self):
         sol = QpSolution(np.zeros(1), 0.0, 0, 0.0)
         assert (sol.cg_steps, sol.polish_rejected) == (0, 0)
+
+
+def random_package_dual(rng, kernel_kind):
+    """A dual as training assembles it, on random data of 5-60 points."""
+    from twinreg import tsvr
+
+    m = int(rng.integers(5, 61))
+    ts = tsvr.TrainingSet(rng.uniform(-3, 3, size=(m, 1)), rng.normal(size=m))
+    kernel = tsvr.KernelSpec()
+    if kernel_kind == "gaussian":
+        kernel = tsvr.KernelSpec("gaussian", float(2 ** rng.uniform(-2, 3)))
+    p, ridge = float(2 ** rng.uniform(-3, 9)), float(2 ** rng.uniform(-9, 3))
+    params = tsvr.TsvrParams(p, p, ridge, ridge, 0.05, 0.05, kernel)
+    assemble = tsvr.assemble_dual_down if rng.random() < 0.5 else tsvr.assemble_dual_up
+    return assemble(ts, params, tsvr.make_design(ts, kernel).matrix)
+
+
+class TestLowRankHessian:
+    def test_products_and_trace_match_dense(self):
+        rng = np.random.default_rng(5)
+        left, right = rng.normal(size=(7, 3)), rng.normal(size=(3, 7))
+        q, dense = LowRankHessian(left, right), left @ right
+        v = rng.normal(size=(7, 2))
+        assert q.shape == (7, 7)
+        np.testing.assert_allclose(q @ v, dense @ v, atol=1e-12)
+        np.testing.assert_allclose(v.T @ q, v.T @ dense, atol=1e-12)
+        np.testing.assert_allclose(np.asarray(q), dense, atol=1e-12)
+        np.testing.assert_allclose(2.0 * q - q, dense, atol=1e-12)
+        assert q.trace() == pytest.approx(np.trace(dense), abs=1e-12)
+
+    @pytest.mark.parametrize("kernel_kind", ["linear", "gaussian"])
+    def test_solver_agrees_with_the_dense_matrix(self, kernel_kind):
+        rng = np.random.default_rng(8 if kernel_kind == "linear" else 9)
+        for _ in range(25):
+            factored = random_package_dual(rng, kernel_kind)
+            assert isinstance(factored.q, LowRankHessian)
+            dense = BoxQp(np.asarray(factored.q), factored.c, factored.lower, factored.upper)
+            a, b = solve_box_qp(factored), solve_box_qp(dense)
+            assert np.max(np.abs(a.alpha - b.alpha)) <= 1e-8
+            assert abs(a.objective - b.objective) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "broken", ["nan-left", "infinite-right", "mismatched-shapes", "asymmetric-pair"]
+    )
+    def test_rejected_at_construction(self, broken):
+        rng = np.random.default_rng(10)
+        j = np.hstack([rng.normal(size=(30, 1)), np.ones((30, 1))])
+        x = np.linalg.solve(j.T @ j + 0.5 * np.eye(2), j.T)
+        c, lower, upper = np.zeros(30), np.zeros(30), np.ones(30)
+        BoxQp(LowRankHessian(j, x), c, lower, upper)  # the intact pair is accepted
+        if broken == "nan-left":
+            j[3, 0] = np.nan
+        elif broken == "infinite-right":
+            x[1, 7] = np.inf
+        elif broken == "mismatched-shapes":
+            x = x[:, :-1]
+        else:
+            x = rng.normal(size=x.shape)
+        with pytest.raises(ValueError):
+            BoxQp(LowRankHessian(j, x), c, lower, upper)
 
 
 class TestSolveBoxQpOnPsdDuals:

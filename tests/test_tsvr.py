@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twinreg import tsvr
-from twinreg.qp import QpSolution, box_qp_oracle, solve_box_qp
+from twinreg.qp import LowRankHessian, QpSolution, box_qp_oracle, solve_box_qp
 from twinreg.tsvr import (
     DimensionMismatch,
     KernelSpec,
@@ -129,6 +129,18 @@ class TestDualAssembly:
         q_up = assemble_dual_up(TrainingSet(a, -y), params, j).q
         np.testing.assert_allclose(q_down, q_up, atol=1e-12)
 
+    def test_hessian_is_the_factor_pair(self):
+        rng = np.random.default_rng(7)
+        ts = TrainingSet(rng.normal(size=(9, 2)), rng.normal(size=9))
+        params = TsvrParams(1.0, 1.0, 0.3, 0.7)
+        j = build_design(ts, params.kernel)
+        for assemble, ridge in ((assemble_dual_down, 0.3), (assemble_dual_up, 0.7)):
+            q = assemble(ts, params, j).q
+            assert isinstance(q, LowRankHessian)
+            assert q.left is j
+            expected = np.linalg.solve(j.T @ j + ridge * np.eye(3), j.T)
+            np.testing.assert_allclose(q.right, expected, atol=1e-12)
+
 
 class TestTrain:
     def test_zero_data_gives_zero_model(self):
@@ -203,6 +215,22 @@ class TestTrain:
         j = make_design(ts, KernelSpec()).matrix
         for assemble in (assemble_dual_down, assemble_dual_up):
             assert solve_box_qp(assemble(ts, params, j)).kkt_residual <= 1e-8
+
+    def test_linear_training_memory_is_linear_in_m(self):
+        # A dense m x m dual Hessian at m = 5,000 would be 191 MiB by itself.
+        import tracemalloc
+
+        from twinreg import data as data_mod
+
+        spec = data_mod.power_two_thirds_spec(0, n_train=5000, n_test=10)
+        ts = data_mod.generate(spec).train
+        tracemalloc.start()
+        try:
+            train(ts, TsvrParams(8.0, 8.0, 0.125, 0.125))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_monotone_tube_support_counts(self):
         # growing the tube never increases the count of active multipliers
