@@ -9,6 +9,7 @@ query with nonzero core half-widths gets a spread
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +36,8 @@ class TrapezoidalFuzzyNumber:
     """Quadruple (center, core half-width, left spread, right spread).
 
     Only the core half-width enters the prediction spread; the left/right
-    spreads are carried for I/O fidelity.
+    spreads are carried for I/O fidelity.  Every field must be finite and
+    the three widths non-negative.
     """
 
     center: float
@@ -44,6 +46,9 @@ class TrapezoidalFuzzyNumber:
     right_spread: float = 0.0
 
     def __post_init__(self):
+        quad = (self.center, self.core_half_width, self.left_spread, self.right_spread)
+        if not all(math.isfinite(v) for v in quad):
+            raise ValueError("fuzzy number fields must be finite")
         if min(self.core_half_width, self.left_spread, self.right_spread) < 0:
             raise ValueError("widths must be non-negative")
 

@@ -13,7 +13,9 @@ Every layer trains in the reduced eigenbasis of its kernel matrix (see
 ``design_rank``, the number of eigenpairs its final model was solved with.
 The first-pass design of layer v depends only on the inputs and tau_v, so a
 caller fitting many configs on the same inputs passes one ``designs`` dict to
-every ``train_hierarchy`` call and each scale is factored once.
+every ``train_hierarchy`` call and each scale is factored once.  The second
+pass takes its design from the kept rows of the first-pass factor, so no
+design is built from a kernel matrix.
 """
 
 from __future__ import annotations
@@ -218,8 +220,8 @@ def train_hierarchy(
 
     ``designs`` maps tau to the first-pass design of ``ts.a`` at that scale;
     missing scales are built and added.  Share one dict only between calls
-    with the same inputs ``ts.a``.  Second passes fit subsets and always
-    build their own designs.
+    with the same inputs ``ts.a``.  Second passes fit subsets, with designs
+    from the kept rows of the first-pass factor (``tsvr.subset_design``).
     """
     if designs is None:
         designs = {}
@@ -269,7 +271,7 @@ def train_hierarchy(
                 b_v_prime = second_pass_tradeoff(b_v, ts.m, pruned.size)
                 kept_ts = layer_ts.subset(pruned)
                 second_params = _layer_params(config, b_v_prime, tau)
-                second_design = tsvr.make_design(kept_ts, second_params.kernel)
+                second_design = tsvr.subset_design(design, pruned)
                 second = tsvr.train(kept_ts, second_params, design=second_design)
                 # The refit is a support-vector optimization, not a mandate:
                 # adopt it only while it retains a meaningful share of the

@@ -9,16 +9,20 @@ more than eps2 below them, so the pair brackets the data.
 
 Kernel mode replaces the raw inputs with a Gaussian kernel matrix
 ``K(x, z) = exp(-||x - z||^2 / tau^2)`` against the stored training basis.
-``K(A, A)`` has a low numerical rank, so training takes one eigendecomposition
-``K = Q Lambda Q'``, keeps the r eigenpairs above ``lambda_max * m * eps``, and
-solves every equation with the m x (r+1) design ``[Q_r Lambda_r | 1]`` in
-place of ``[K | 1]``.  Both duals depend on the design only through
-``J J'``, which the two designs share up to round-off, and the ridge term is
-invariant under ``Q_r``; so mapping the weights back with ``w = Q_r w~``
-gives the dense solution, with coefficients over the basis as before.  A
-:class:`Design` holds that reduced matrix and ``Q_r``; it depends only on the
-inputs and the kernel, so callers that fit the same inputs many times (the
-hierarchy's first pass across a grid search) build it once.
+``K(A, A)`` has a low numerical rank, so training never forms it: a pivoted
+incomplete Cholesky factor ``K ~ L L'`` (m x p) is built from kernel rows
+computed on demand, in O(m p^2) time and O(m p) memory.  The eigenpairs of
+``L L'`` come from the p x p Gram ``L'L``; the r above ``lambda_max * m *
+eps`` are kept, and every equation is solved with the m x (r+1) design
+``[Q_r Lambda_r | 1]`` in place of ``[K | 1]``.  Both duals depend on the
+design only through ``J J'``, which the two designs share up to round-off,
+and the ridge term is invariant under ``Q_r``; so mapping the weights back
+with ``w = Q_r w~`` gives the dense solution, with coefficients over the
+basis as before.  A :class:`Design` holds that reduced matrix, ``Q_r`` and
+L; it depends only on the inputs and the kernel, so callers that fit the
+same inputs many times (the hierarchy's first pass across a grid search)
+build it once.  A fit on a subset S of those inputs takes its design from the
+kept rows of the factor, since ``K_SS ~ L_S L_S'`` (:func:`subset_design`).
 
 Each dual Hessian ``H = J (J'J + rho I)^-1 J'`` has rank at most r + 1, and
 reaches the QP as its two thin factors, J and ``X = (J'J + rho I)^-1 J'``
@@ -194,29 +198,93 @@ class Design:
     """The design ``train`` solves with, and the map back to model weights.
 
     ``matrix`` ends in the bias column.  In linear mode it is ``[A | 1]`` and
-    ``to_basis`` is None; in kernel mode it is ``[Q_r Lambda_r | 1]`` and the
-    basis coefficients are ``to_basis @ w~``.  ``rank`` is the number of
-    weight columns: d, or the r kept eigenpairs of K.
+    ``to_basis`` and ``factor`` are None.  In kernel mode it is
+    ``[Q_r Lambda_r | 1]``, the basis coefficients are ``to_basis @ w~`` with
+    ``to_basis = Q_r``, and ``factor`` is the m x p pivoted Cholesky factor
+    L with ``K ~ L L'`` that the eigenpairs came from.  ``rank`` is the
+    number of weight columns: d, or the r kept eigenpairs.
     """
 
     matrix: NDArray[np.float64]
     to_basis: NDArray[np.float64] | None
     kernel: KernelSpec
+    factor: NDArray[np.float64] | None = None
 
     @property
     def rank(self) -> int:
         return self.matrix.shape[1] - 1
 
 
+def _pivoted_cholesky(a: NDArray[np.float64], tau: float) -> NDArray[np.float64]:
+    """Factor L (m x p) with ``K(a, a) ~ L L'``, never forming K.
+
+    Each step takes the point with the largest residual diagonal as pivot,
+    computes its kernel row and subtracts the earlier columns' share of it;
+    it stops once no residual diagonal exceeds ``m * eps`` (K's diagonal is
+    1).  The rows live in a buffer that doubles as the rank grows, so memory
+    is O(m p); the factor is copied out of it.
+    """
+    m = a.shape[0]
+    residual = np.ones(m)
+    rows = np.empty((min(m, 32), m))
+    tol = m * np.finfo(float).eps
+    p = 0
+    while p < m:
+        pivot = int(np.argmax(residual))
+        if residual[pivot] <= tol:
+            break
+        if p == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty((min(p, m - p), m))])
+        row = gaussian_kernel(a[pivot : pivot + 1], a, tau)[0]
+        row -= rows[:p, pivot] @ rows[:p]
+        row /= math.sqrt(residual[pivot])
+        rows[p] = row
+        residual -= row * row
+        p += 1
+    return rows[:p].T.copy()
+
+
+def _factor_design(factor: NDArray[np.float64], kernel: KernelSpec) -> Design:
+    """The reduced design of ``K ~ F F'`` for an m x p factor F.
+
+    The eigenpairs of ``F F'`` come from the smaller of its two Grams.  For a
+    tall F, ``F'F = V Lambda V'`` gives ``Q = F V Lambda^-1/2``, and one
+    Cholesky QR pass, largest eigenvalue first, restores the orthonormality
+    that Q loses on small eigenvalues without tilting the accurate columns.
+    Eigenpairs at or below ``lambda_max * m * eps`` are dropped.
+    """
+    m, p = factor.shape
+    tall = m > p
+    lam, q = np.linalg.eigh(factor.T @ factor if tall else factor @ factor.T)
+    keep = lam > lam[-1] * m * np.finfo(float).eps
+    lam, q = lam[keep][::-1], q[:, keep][:, ::-1]
+    if tall:
+        q = factor @ (q / np.sqrt(lam))
+        q = np.linalg.solve(np.linalg.cholesky(q.T @ q), q.T).T
+    return Design(np.hstack([q * lam, np.ones((m, 1))]), q, kernel, factor)
+
+
 def make_design(ts: TrainingSet, kernel: KernelSpec) -> Design:
-    """Factor ``build_design(ts, kernel)`` into the design ``train`` uses."""
-    j = build_design(ts, kernel)
+    """The design ``train`` uses for ``ts`` under ``kernel``.
+
+    Linear: ``build_design(ts, kernel)``.  Gaussian: a pivoted Cholesky
+    factor of ``K(A, A)`` built from kernel rows on demand, and the design of
+    its numerical-rank eigenbasis, in O(m p^2) time and O(m p) memory.
+    """
     if kernel.kind == "linear":
-        return Design(j, None, kernel)
-    lam, q = np.linalg.eigh(j[:, :-1])
-    keep = lam > lam[-1] * ts.m * np.finfo(float).eps
-    q_r = q[:, keep]
-    return Design(np.hstack([q_r * lam[keep], j[:, -1:]]), q_r, kernel)
+        return Design(build_design(ts, kernel), None, kernel)
+    return _factor_design(_pivoted_cholesky(ts.a, kernel.tau), kernel)
+
+
+def subset_design(design: Design, indices: NDArray[np.intp]) -> Design:
+    """The design of the rows ``indices`` of the inputs a Gaussian ``design``
+    was made for.
+
+    It reuses the factor, since ``K_SS ~ L_S L_S'``: no kernel matrix is
+    built, and for more kept points than the factor has columns no
+    eigendecomposition of size |S| is taken either.
+    """
+    return _factor_design(design.factor[indices], design.kernel)
 
 
 def _dual_hessian(j: NDArray[np.float64], ridge: float) -> LowRankHessian:

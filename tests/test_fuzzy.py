@@ -34,6 +34,14 @@ class TestTrapezoidalFuzzyNumber:
         with pytest.raises(ValueError):
             TrapezoidalFuzzyNumber(0.0, core_half_width=-0.1)
 
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field, bad):
+        quad = [0.5, 0.1, 0.1, 0.1]
+        quad[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TrapezoidalFuzzyNumber(*quad)
+
 
 class TestDefuzzify:
     def test_centers_extracted(self):

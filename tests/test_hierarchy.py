@@ -29,6 +29,15 @@ def small_sinc_dataset(seed=0, n_train=60):
     return data_mod.generate(data_mod.sinc_spec(seed=seed, n_train=n_train, n_test=40))
 
 
+def eigh_design(a, kernel):
+    """Reduced design from a full eigendecomposition of K(a, a), as an oracle."""
+    k = tsvr.gaussian_kernel(a, a, kernel.tau)
+    lam, q = np.linalg.eigh(k)
+    keep = lam > lam[-1] * len(a) * np.finfo(float).eps
+    q_r = q[:, keep]
+    return tsvr.Design(np.hstack([q_r * lam[keep], np.ones((len(a), 1))]), q_r, kernel)
+
+
 class TestScaleSchedule:
     def test_halving_schedule(self):
         assert scale_schedule(8.0, 2.0, 4) == [8.0, 4.0, 2.0, 1.0]
@@ -243,6 +252,27 @@ class TestTrainHierarchy:
         np.testing.assert_array_equal(
             np.asarray(predict_hierarchy(again, x)),
             np.asarray(predict_hierarchy(plain, x)),
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_factor_designs_match_eigh_designs(self, seed, monkeypatch):
+        ts = data_mod.generate(data_mod.sinc_spec(seed)).train
+        config = HierarchyConfig(max_layers=6, eps=0.1)
+        model = train_hierarchy(ts, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(tsvr, "make_design", lambda t, kernel: eigh_design(t.a, kernel))
+            patch.setattr(tsvr, "subset_design",
+                          lambda design, kept: eigh_design(ts.a[kept], design.kernel))
+            oracle = train_hierarchy(ts, config)
+        keys = ("second_pass_adopted", "prune_set_size", "design_rank", "sv_count_final")
+
+        def rows(m):
+            return [[row[k] for k in keys] for row in m.training_report["layers"]]
+
+        assert rows(model) == rows(oracle)
+        x = np.linspace(-4 * math.pi, 4 * math.pi, 501)[:, None]
+        np.testing.assert_allclose(
+            predict_hierarchy(model, x), predict_hierarchy(oracle, x), rtol=0, atol=1e-10
         )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

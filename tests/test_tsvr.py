@@ -1,9 +1,13 @@
 """Tests for the twin regressor: dual assembly, training, KKT certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from twinreg import data as data_mod
 from twinreg import tsvr
+from twinreg.hierarchy import auto_tau1, scale_schedule
 from twinreg.qp import LowRankHessian, QpSolution, box_qp_oracle, solve_box_qp
 from twinreg.tsvr import (
     DimensionMismatch,
@@ -16,6 +20,7 @@ from twinreg.tsvr import (
     gaussian_kernel,
     make_design,
     predict,
+    subset_design,
     train,
 )
 
@@ -403,6 +408,86 @@ class TestReducedDesign:
             train(ts, params, design=make_design(ts, KernelSpec("gaussian", 2.0)))
         with pytest.raises(ValueError):
             train(ts, params, design=make_design(ts.subset(np.arange(4)), params.kernel))
+
+
+def assert_hessians_agree(ts, params, j, reference):
+    for assemble in (assemble_dual_down, assemble_dual_up):
+        h_ref = np.asarray(assemble(ts, params, reference).q)
+        h = np.asarray(assemble(ts, params, j).q)
+        assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+
+
+SINC = data_mod.generate(data_mod.sinc_spec(0)).train
+SINC_TAUS = scale_schedule(auto_tau1(SINC), 2.0, 6)
+
+
+class TestPivotedFactor:
+    @pytest.mark.parametrize("tau", SINC_TAUS)
+    def test_basis_is_orthonormal_and_matches_the_kernel(self, tau):
+        design = make_design(SINC, KernelSpec("gaussian", tau))
+        q = design.to_basis
+        np.testing.assert_allclose(q.T @ q, np.eye(design.rank), rtol=0, atol=1e-12)
+        k = gaussian_kernel(SINC.a, SINC.a, tau)
+        assert np.max(np.abs(k @ q - design.matrix[:, :-1])) <= 1e-12 * np.max(np.abs(k))
+        m, p = design.factor.shape
+        assert m == SINC.m and design.rank <= p < SINC.m
+
+    @pytest.mark.parametrize("tau", SINC_TAUS)
+    def test_subset_designs_match_designs_of_the_subset(self, tau):
+        rng = np.random.default_rng(round(100 * tau))
+        params = TsvrParams(1.0, 1.0, 0.1, 0.1, 0.1, 0.1, KernelSpec("gaussian", tau))
+        design = make_design(SINC, params.kernel)
+        for size in (1, 5, 40, 150, 260):
+            kept = np.sort(rng.choice(SINC.m, size=size, replace=False))
+            sub = SINC.subset(kept)
+            reduced = subset_design(design, kept)
+            assert reduced.matrix.shape[0] == size
+            assert 1 <= reduced.rank <= min(size, design.factor.shape[1])
+            assert_hessians_agree(sub, params, reduced.matrix,
+                                  make_design(sub, params.kernel).matrix)
+            assert_hessians_agree(sub, params, reduced.matrix, build_design(sub, params.kernel))
+
+    def test_single_point(self):
+        design = make_design(TrainingSet([[0.3]], [1.0]), KernelSpec("gaussian", 1.0))
+        np.testing.assert_array_equal(design.factor, [[1.0]])
+        assert design.rank == 1
+        np.testing.assert_allclose(np.abs(design.matrix), [[1.0, 1.0]], rtol=0, atol=1e-15)
+
+    def test_duplicated_rows_add_no_rank(self):
+        a = np.repeat(np.linspace(-2, 2, 7), 3)[:, None]
+        ts = TrainingSet(a, np.sin(a[:, 0]))
+        params = TsvrParams(1.0, 1.0, 0.1, 0.1, kernel=KernelSpec("gaussian", 0.5))
+        design = make_design(ts, params.kernel)
+        assert design.factor.shape[1] <= 7
+        assert_hessians_agree(ts, params, design.matrix, build_design(ts, params.kernel))
+
+    def test_tiny_tau_gives_full_rank(self):
+        ts = TrainingSet(np.arange(30.0)[:, None], np.zeros(30))
+        design = make_design(ts, KernelSpec("gaussian", 1e-3))
+        assert design.rank == design.factor.shape[1] == 30
+        q = design.to_basis
+        np.testing.assert_allclose(q.T @ q, np.eye(30), rtol=0, atol=1e-12)
+
+    def test_huge_tau_gives_rank_one(self):
+        ts = TrainingSet(np.linspace(-1, 1, 40)[:, None], np.zeros(40))
+        params = TsvrParams(1.0, 1.0, 0.1, 0.1, kernel=KernelSpec("gaussian", 1e8))
+        design = make_design(ts, params.kernel)
+        assert design.rank == design.factor.shape[1] == 1
+        assert_hessians_agree(ts, params, design.matrix, build_design(ts, params.kernel))
+
+    def test_large_training_set_stays_within_factor_memory(self):
+        spec = data_mod.sinc_spec(0, n_train=5000, n_test=2)
+        ts = data_mod.generate(spec).train
+        params = TsvrParams(1.0, 1.0, 0.1, 0.1, 0.1, 0.1, KernelSpec("gaussian", 5.0))
+        tracemalloc.start()
+        try:
+            model = train(ts, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # K(A, A) alone would take 5000^2 * 8 bytes = 191 MiB
+        assert peak < 32 * 2**20
+        assert model.w1.shape == (5000,)
 
 
 class TestNonFiniteQueries:
