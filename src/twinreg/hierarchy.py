@@ -15,7 +15,10 @@ The first-pass design of layer v depends only on the inputs and tau_v, so a
 caller fitting many configs on the same inputs passes one ``designs`` dict to
 every ``train_hierarchy`` call and each scale is factored once.  The second
 pass takes its design from the kept rows of the first-pass factor, so no
-design is built from a kernel matrix.
+design is built from a kernel matrix.  Each layer's residual is its model's
+prediction on the layer inputs, which :func:`twinreg.tsvr.predict` evaluates a
+block of kernel rows at a time; so training holds no m x m matrix, and its
+memory is O(m p) end to end, p the largest rank of a layer's factor.
 """
 
 from __future__ import annotations

@@ -30,6 +30,11 @@ reaches the QP as its two thin factors, J and ``X = (J'J + rho I)^-1 J'``
 and the m x m matrix is never formed.  H is symmetric by construction, up to
 the round-off of the solve that makes X; :class:`~twinreg.qp.BoxQp` probes
 that once per dual.
+
+Prediction evaluates the kernel expansion ``K(x, basis) w`` for at most
+``BUDGET // len(basis)`` query rows at a time, so its memory is O(``BUDGET``)
+beyond the result, whatever the number of points; no path builds the whole
+query x basis matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .qp import BoxQp, LowRankHessian, QpSolution, solve_box_qp, solve_spd
+
+
+# Kernel entries one prediction block may hold: 2**16 float64 values (512 KiB).
+BUDGET = 2**16
 
 
 class DimensionMismatch(Exception):
@@ -152,9 +161,24 @@ class TsvrModel:
     diagnostics: TsvrDiagnostics
 
     def __post_init__(self):
+        if (self.basis is None) == (self.kernel.kind == "gaussian"):
+            raise ValueError("a model has a basis if and only if it is gaussian")
+        if self.basis is not None and (
+            self.basis.ndim != 2
+            or len(self.basis) < 1
+            or self.basis.shape[1] != self.input_dim
+        ):
+            raise ValueError(
+                f"basis must have at least one row of {self.input_dim} columns"
+            )
         width = self.input_dim if self.basis is None else len(self.basis)
         if self.w1.shape != (width,) or self.w2.shape != (width,):
             raise ValueError(f"weights do not have length {width}")
+        alpha, gamma = self.diagnostics.alpha, self.diagnostics.gamma
+        if alpha.ndim != 1 or alpha.shape != gamma.shape:
+            raise ValueError("alpha and gamma must be vectors of equal length")
+        if self.basis is not None and len(alpha) != width:
+            raise ValueError(f"alpha and gamma do not have length {width}")
 
     def support_vector_count(self) -> int:
         """Points whose down- or up-multiplier exceeds 1e-6 of its bound."""
@@ -405,30 +429,47 @@ def query_rows(x: NDArray, input_dim: int) -> tuple[NDArray[np.float64], bool]:
     return x, single
 
 
-def _feature_rows(model: TsvrModel, x: NDArray) -> tuple[NDArray[np.float64], bool]:
+def _expansions(
+    model: TsvrModel, x: NDArray, weights: tuple[NDArray, ...]
+) -> tuple[list[NDArray[np.float64]], bool]:
+    """``phi(x) @ w`` for each w in ``weights``, and whether a single point
+    came in.
+
+    ``phi(x)`` is x itself in linear mode.  In kernel mode it is ``K(x,
+    basis)``, built for at most ``max(1, BUDGET // len(basis))`` query rows at
+    a time; each block is applied to every w before the next is built.
+    """
     x, single = query_rows(x, model.input_dim)
-    if model.kernel.kind == "gaussian":
-        rows = gaussian_kernel(x, model.basis, model.kernel.tau)
-    else:
-        rows = x
-    return rows, single
+    if model.basis is None:
+        return [x @ w for w in weights], single
+    values = np.empty((len(weights), x.shape[0]))
+    step = max(1, BUDGET // len(model.basis))
+    for start in range(0, x.shape[0], step):
+        rows = gaussian_kernel(x[start : start + step], model.basis, model.kernel.tau)
+        for value, w in zip(values, weights):
+            value[start : start + step] = rows @ w
+        # Free the block before the next is built: with two alive, glibc's
+        # malloc trimmed and refaulted its heap top at nearly every block.
+        del rows
+    return list(values), single
 
 
 def predict(model: TsvrModel, x: NDArray) -> float | NDArray[np.float64]:
     """Averaged prediction ``(h1(x) + h2(x)) / 2``.
 
     Accepts a single point (returns a float) or a stack of rows (returns a
-    vector).
+    vector).  Kernel rows are built a block at a time, so beyond the result
+    memory is O(``BUDGET``) for any number of points.
     """
-    rows, single = _feature_rows(model, x)
-    values = 0.5 * (rows @ (model.w1 + model.w2) + (model.b1 + model.b2))
+    (h,), single = _expansions(model, x, (model.w1 + model.w2,))
+    values = 0.5 * (h + (model.b1 + model.b2))
     return float(values[0]) if single else values
 
 
 def predict_components(model: TsvrModel, x: NDArray) -> tuple[NDArray, NDArray]:
     """The two proximal functions evaluated separately (diagnostics)."""
-    rows, _ = _feature_rows(model, x)
-    return rows @ model.w1 + model.b1, rows @ model.w2 + model.b2
+    (h1, h2), _ = _expansions(model, x, (model.w1, model.w2))
+    return h1 + model.b1, h2 + model.b2
 
 
 def slack_down(model: TsvrModel, ts: TrainingSet) -> NDArray[np.float64]:

@@ -254,6 +254,40 @@ class TestExitCodes:
         ) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", [
+        "gaussian_without_basis", "basis_too_wide", "flat_basis",
+        "linear_with_basis", "alpha_short",
+    ])
+    def test_resigned_inconsistent_basis_is_data_error(self, tmp_path, capsys, fault):
+        from twinreg import tsvr
+        from twinreg.model_io import _checksum, save_model
+
+        ts = tsvr.TrainingSet(np.arange(10.0).reshape(-1, 1), np.sin(np.arange(10.0)))
+        kernel = tsvr.KernelSpec() if fault == "linear_with_basis" else (
+            tsvr.KernelSpec("gaussian", 2.0))
+        model = tmp_path / "m.json"
+        save_model(tsvr.train(ts, tsvr.TsvrParams(1, 1, 0.1, 0.1, kernel=kernel)), model)
+        record = json.loads(model.read_text())
+        payload = record["payload"]
+        if fault == "gaussian_without_basis":
+            payload.update(basis=None, w1=payload["w1"][:1], w2=payload["w2"][:1])
+        elif fault == "basis_too_wide":
+            payload["basis"] = [row + [0.0] for row in payload["basis"]]
+        elif fault == "flat_basis":
+            payload["basis"] = [row[0] for row in payload["basis"]]
+        elif fault == "linear_with_basis":
+            payload["basis"] = [[0.0]]
+        else:
+            payload["diagnostics"]["alpha"] = payload["diagnostics"]["alpha"][:3]
+        record["checksum"] = _checksum(payload)
+        model.write_text(json.dumps(record))
+        assert run(
+            ["predict", "--model-file", str(model), "--point", "0.5"]
+        ) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "data error" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("point", ["nan", "inf"])
     def test_non_finite_point_is_usage_error(self, line_model, capsys, point):
         assert run(

@@ -226,6 +226,21 @@ class TestTrainHierarchy:
         with pytest.raises(DimensionMismatch):
             predict_hierarchy(model, np.zeros((3, 2)))
 
+    def test_training_memory_is_linear_in_m(self):
+        # Each layer's residual on its own 3,000 inputs would take a
+        # 3,000 x 3,000 kernel block (69 MiB) if built in one piece.
+        import tracemalloc
+
+        ts = data_mod.generate(data_mod.sinc_spec(0, n_train=3000, n_test=2)).train
+        tracemalloc.start()
+        try:
+            model = train_hierarchy(ts, HierarchyConfig(max_layers=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.layers) == 2
+        assert peak < 8 * 2**20
+
     def test_design_rank_within_basis(self):
         ds = small_sinc_dataset(seed=10)
         model = train_hierarchy(ds.train, HierarchyConfig(max_layers=6))

@@ -331,6 +331,56 @@ class TestPredict:
         assert batch[0] == pytest.approx(predict(model, [0.5]), abs=1e-15)
 
 
+class TestBlockedExpansion:
+    """Kernel predictions are built in blocks of ``BUDGET // len(basis)`` rows."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(41)
+        ts = TrainingSet(rng.uniform(-3, 3, size=(300, 2)), rng.normal(size=300))
+        return train(ts, TsvrParams(1.0, 2.0, 0.1, 0.2, 0.05, 0.1,
+                                    KernelSpec("gaussian", 0.7)))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blocks_match_the_one_shot_expansion(self, model, offset):
+        step = tsvr.BUDGET // len(model.basis)
+        x = np.random.default_rng(42).uniform(-3, 3, size=(3 * step + offset, 2))
+        rows = gaussian_kernel(x, model.basis, model.kernel.tau)
+        h1 = rows @ model.w1 + model.b1
+        h2 = rows @ model.w2 + model.b2
+        one_shot = 0.5 * (rows @ (model.w1 + model.w2) + (model.b1 + model.b2))
+        got = (predict(model, x), *tsvr.predict_components(model, x))
+        for value, expected in zip(got, (one_shot, h1, h2)):
+            assert value.shape == (len(x),)
+            tol = 1e-13 * (1 + np.max(np.abs(expected)))
+            np.testing.assert_allclose(value, expected, rtol=0, atol=tol)
+
+    def test_empty_batch(self, model):
+        assert predict(model, np.empty((0, 2))).shape == (0,)
+        h1, h2 = tsvr.predict_components(model, np.empty((0, 2)))
+        assert h1.shape == h2.shape == (0,)
+
+    def test_single_point_is_a_float(self, model):
+        value = predict(model, [0.5, -0.5])
+        assert isinstance(value, float)
+        assert value == predict(model, [[0.5, -0.5]])[0]
+
+    def test_prediction_memory_is_one_block(self):
+        # The 50,000 x 272 kernel matrix alone would take 104 MiB.
+        ts = data_mod.generate(data_mod.sinc_spec(0, n_test=2)).train
+        model = train(ts, TsvrParams(1.0, 1.0, 0.1, 0.1, 0.1, 0.1,
+                                     KernelSpec("gaussian", 1.0)))
+        x = np.linspace(-12, 12, 50_000).reshape(-1, 1)
+        tracemalloc.start()
+        try:
+            yhat = predict(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert yhat.shape == (50_000,)
+        assert peak < 4 * 2**20
+
+
 def random_gaussian_problem(rng):
     m = int(rng.integers(1, 61))
     d = int(rng.integers(1, 3))
@@ -530,6 +580,33 @@ class TestValidation:
     def test_kernel_tau_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             KernelSpec("gaussian", bad)
+
+    @pytest.mark.parametrize("fault", [
+        "gaussian_without_basis", "linear_with_basis", "basis_too_wide",
+        "flat_basis", "empty_basis", "alpha_short", "gamma_short",
+    ])
+    def test_model_rejects_an_inconsistent_basis(self, fault):
+        from dataclasses import replace
+
+        ts = TrainingSet([[0.0], [1.0], [2.0]], [0.0, 1.0, 0.0])
+        gaussian = train(ts, TsvrParams(1, 1, 0.1, 0.1, kernel=KernelSpec("gaussian", 1.0)))
+        linear = train(ts, TsvrParams(1, 1, 0.1, 0.1))
+        diag = gaussian.diagnostics
+        changes = {
+            "gaussian_without_basis": (gaussian, {"basis": None, "w1": np.ones(1),
+                                                  "w2": np.ones(1)}),
+            "linear_with_basis": (linear, {"basis": np.zeros((1, 1))}),
+            "basis_too_wide": (gaussian, {"basis": np.zeros((3, 2))}),
+            "flat_basis": (gaussian, {"basis": np.zeros(3)}),
+            "empty_basis": (gaussian, {"basis": np.zeros((0, 1)), "w1": np.ones(0),
+                                       "w2": np.ones(0)}),
+            "alpha_short": (gaussian, {"diagnostics": replace(diag, alpha=diag.alpha[:2])}),
+            "gamma_short": (gaussian, {"diagnostics": replace(
+                diag, alpha=diag.alpha[:2], gamma=diag.gamma[:2])}),
+        }
+        model, fields = changes[fault]
+        with pytest.raises(ValueError):
+            replace(model, **fields)
 
     def test_training_set_validation(self):
         with pytest.raises(ValueError):
