@@ -16,7 +16,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,12 +99,10 @@ def _dataset_for(spec_name: str, seed: int, suite: SuiteSpec) -> data_mod.Datase
     if spec_name in _SYNTHETIC_SPECS:
         return data_mod.generate(_SYNTHETIC_SPECS[spec_name](seed))
     if spec_name in suite.csv_paths:
-        ts = data_mod.load_csv(suite.csv_paths[spec_name], "crisp")
-        tune_fraction = 0.25  # file datasets: fixed random test split per seed
-        test, train = data_mod.split(ts, tune_fraction, seed)
-        return data_mod.Dataset(
-            train, test,
-            {"kind": "csv", "path": str(suite.csv_paths[spec_name]), "seed": seed},
+        path = suite.csv_paths[spec_name]
+        return data_mod.holdout(
+            data_mod.load_csv(path, "crisp"), seed,
+            {"kind": "csv", "path": str(path), "seed": seed},
         )
     raise ValueError(f"unknown dataset {spec_name!r}")
 
@@ -137,7 +135,7 @@ def _train_and_eval(params, ds: data_mod.Dataset) -> tuple[MetricsReport, object
     return metrics(ds.test.y, yhat, train_seconds=seconds, sv_count=sv), model
 
 
-_METRIC_FIELDS = ("sse", "nmse", "r2", "mape", "train_seconds", "sv_count")
+_METRIC_FIELDS = tuple(f.name for f in fields(MetricsReport))
 
 
 def _aggregate(reports: list[MetricsReport]) -> tuple[dict, dict | None]:
@@ -277,10 +275,7 @@ def result_payload(result: BenchmarkResult) -> dict:
                 "chosen_parameters": row.chosen,
                 "mean": row.mean,
                 "std": row.std,
-                "per_seed": [
-                    {name: getattr(r, name) for name in _METRIC_FIELDS}
-                    for r in row.per_seed
-                ],
+                "per_seed": [asdict(r) for r in row.per_seed],
             }
             for row in result.rows
         ],

@@ -143,8 +143,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     ts = _load_training(args.data, args.schema)
-    test, train = data_mod.split(ts, 0.25, args.seed)
-    ds = data_mod.Dataset(train, test, {"kind": "cli", "path": args.data})
+    ds = data_mod.holdout(ts, args.seed, {"kind": "cli", "path": args.data})
     if args.config:
         grid = grid_spec_from(args.config)
         base = hierarchy_config_from(args.config)

@@ -4,6 +4,12 @@ Generators draw from NumPy's default PCG64 bit generator
 (``np.random.default_rng(seed)``) in a fixed order (training inputs, training
 noise, test inputs), so a spec with the same seed reproduces the same dataset
 bit for bit on any platform.
+
+Every file format (crisp and fuzzy CSV, UCI Servo and Auto Price) is read by
+one row reader and parsed by one float-table parser.  Blank lines are skipped,
+errors name the file line a row starts on, and undecodable text, bad arity,
+bad cells and negative fuzzy widths are all :class:`DataError` subclasses.
+File datasets are split by :func:`holdout`.
 """
 
 from __future__ import annotations
@@ -171,64 +177,76 @@ def _parse_float(token: str, row: int, column: str) -> float:
     return value
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-            rows = [row for row in reader if row]
-        except StopIteration:
-            raise MissingHeader(f"{path}: empty file") from None
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise DataError(f"{path}: unreadable CSV text ({exc})") from exc
-    return [h.strip() for h in header], rows
+def _read_rows(path: str | Path, header: bool) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The stripped header (line 1, if the format has one) and the non-blank
+    rows, each paired with the file line it starts on."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            names = next(reader) if header else []
+            rows, line = [], reader.line_num + 1
+            for row in reader:
+                if row:
+                    rows.append((line, row))
+                line = reader.line_num + 1
+    except StopIteration:
+        raise MissingHeader(f"{path}: empty file") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV text ({exc})") from exc
+    return [h.strip() for h in names], rows
+
+
+def _floats(path: str | Path, rows: list[tuple[int, list[str]]], width: int,
+            columns: dict[int, str]) -> NDArray[np.float64]:
+    """Check every row has ``width`` fields and parse the named columns,
+    keyed by field index, into an (n, len(columns)) float64 table."""
+    out = np.empty((len(rows), len(columns)))
+    for i, (line, row) in enumerate(rows):
+        if len(row) != width:
+            raise InconsistentArity(
+                f"{path}: row {line} has {len(row)} fields, expected {width}"
+            )
+        out[i] = [_parse_float(row[j], line, name) for j, name in columns.items()]
+    return out
 
 
 def load_csv(path: str | Path, schema: str = "crisp") -> TrainingSet | list[FuzzySample]:
     """Load a crisp CSV as a :class:`TrainingSet` or a fuzzy CSV as samples.
 
     Header row is required and validated against the schema; any malformed
-    cell reports its row and column.
+    cell, or a negative fuzzy width, reports its file line and column.
     """
     if schema not in ("crisp", "fuzzy"):
         raise ValueError(f"unknown schema {schema!r}")
-    header, rows = _read_rows(path)
-    if schema == "crisp":
-        d = len(header) - 1
-        if d < 1 or header != _crisp_header(d):
-            raise MissingHeader(
-                f"{path}: expected header x1,...,xd,y, got {header}"
-            )
-        if not rows:
-            raise DataError(f"{path}: no data rows")
-        out = []
-        for i, row in enumerate(rows, start=2):
-            if len(row) != d + 1:
-                raise InconsistentArity(
-                    f"{path}: row {i} has {len(row)} fields, expected {d + 1}"
-                )
-            out.append([_parse_float(tok, i, header[j]) for j, tok in enumerate(row)])
-        arr = np.array(out)
-        return TrainingSet(arr[:, :d], arr[:, d])
-
-    if len(header) % 4 != 0 or len(header) < 8:
-        raise MissingHeader(f"{path}: fuzzy header must hold 4 columns per variable")
-    d = len(header) // 4 - 1
-    if header != _fuzzy_header(d):
-        raise MissingHeader(f"{path}: unexpected fuzzy header {header}")
+    header, rows = _read_rows(path, header=True)
+    per_variable, names = (1, _crisp_header) if schema == "crisp" else (4, _fuzzy_header)
+    d = len(header) // per_variable - 1
+    if d < 1 or header != names(d):
+        raise MissingHeader(
+            f"{path}: expected a {schema} header like {','.join(names(1))}, got {header}"
+        )
     if not rows:
         raise DataError(f"{path}: no data rows")
-    samples = []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise InconsistentArity(
-                f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
-            )
-        values = [_parse_float(tok, i, header[j]) for j, tok in enumerate(row)]
-        quads = [values[4 * k: 4 * k + 4] for k in range(d + 1)]
-        xs = tuple(TrapezoidalFuzzyNumber(*q) for q in quads[:d])
-        samples.append(FuzzySample(xs, TrapezoidalFuzzyNumber(*quads[d])))
-    return samples
+    values = _floats(path, rows, len(header), dict(enumerate(header)))
+    if schema == "crisp":
+        return TrainingSet(values[:, :d], values[:, d])
+
+    quads = values.reshape(len(rows), d + 1, 4)
+    negative = np.argwhere(quads[:, :, 1:] < 0)
+    if negative.size:
+        i, k, w = negative[0]
+        raise ParseError(rows[i][0], header[4 * k + 1 + w], "negative width")
+    return [
+        FuzzySample(tuple(TrapezoidalFuzzyNumber(*q) for q in sample[:d]),
+                    TrapezoidalFuzzyNumber(*sample[d]))
+        for sample in quads.tolist()
+    ]
+
+
+def holdout(ts: TrainingSet, seed: int, provenance: dict) -> Dataset:
+    """Seeded split of a file dataset: ``ceil(m / 4)`` test rows, the rest train."""
+    test, train = split(ts, 0.25, seed)
+    return Dataset(train, test, provenance)
 
 
 def save_training_csv(ts: TrainingSet, path: str | Path) -> None:
@@ -279,28 +297,14 @@ def load_uci_servo(path: str | Path) -> tuple[TrainingSet, dict]:
     the values observed in the file; features are normalized to zero mean and
     unit variance, with the constants recorded in the provenance dict.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        raw = [row for row in csv.reader(handle) if row]
-    if not raw:
+    _, rows = _read_rows(path, header=False)
+    if not rows:
         raise DataError(f"{path}: empty file")
-    if len({len(r) for r in raw}) != 1 or len(raw[0]) != 5:
-        raise InconsistentArity(f"{path}: servo rows must have 5 fields")
-    motor_codes = {v: i for i, v in enumerate(sorted({r[0] for r in raw}))}
-    screw_codes = {v: i for i, v in enumerate(sorted({r[1] for r in raw}))}
-    a = np.array(
-        [
-            [
-                motor_codes[r[0]],
-                screw_codes[r[1]],
-                _parse_float(r[2], i, "pgain"),
-                _parse_float(r[3], i, "vgain"),
-            ]
-            for i, r in enumerate(raw, start=1)
-        ],
-        dtype=float,
-    )
-    y = np.array([_parse_float(r[4], i, "class") for i, r in enumerate(raw, start=1)])
-    ts, prov = _normalize(a, y)
+    values = _floats(path, rows, 5, {2: "pgain", 3: "vgain", 4: "class"})
+    motor_codes = {v: i for i, v in enumerate(sorted({r[0] for _, r in rows}))}
+    screw_codes = {v: i for i, v in enumerate(sorted({r[1] for _, r in rows}))}
+    codes = np.array([[motor_codes[r[0]], screw_codes[r[1]]] for _, r in rows], dtype=float)
+    ts, prov = _normalize(np.hstack([codes, values[:, :2]]), values[:, 2])
     prov.update(
         {
             "dataset": "servo",
@@ -314,6 +318,7 @@ def load_uci_servo(path: str | Path) -> tuple[TrainingSet, dict]:
 # 0-based indices of the numeric attributes in the 26-column automobile file;
 # the last column (25) is the price target.
 _AUTO_PRICE_FEATURES = [1, 9, 10, 11, 12, 13, 16, 18, 19, 20, 21, 22, 23, 24]
+_AUTO_PRICE_COLUMNS = {j: f"col{j}" for j in _AUTO_PRICE_FEATURES} | {25: "price"}
 
 
 def load_uci_auto_price(path: str | Path) -> tuple[TrainingSet, dict]:
@@ -322,28 +327,17 @@ def load_uci_auto_price(path: str | Path) -> tuple[TrainingSet, dict]:
     Rows with a missing value ('?') in any used column are dropped; features
     are normalized to zero mean and unit variance.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        raw = [row for row in csv.reader(handle) if row]
-    if not raw:
+    _, rows = _read_rows(path, header=False)
+    if not rows:
         raise DataError(f"{path}: empty file")
-    used = _AUTO_PRICE_FEATURES + [25]
-    kept, dropped = [], 0
-    for row in raw:
-        if len(row) != 26:
-            raise InconsistentArity(f"{path}: automobile rows must have 26 fields")
-        if any(row[j].strip() == "?" for j in used):
-            dropped += 1
-            continue
-        kept.append(row)
+    # a row of the wrong width is kept, so that _floats reports its arity
+    kept = [
+        (line, row) for line, row in rows
+        if len(row) != 26 or all(row[j].strip() != "?" for j in _AUTO_PRICE_COLUMNS)
+    ]
     if not kept:
         raise DataError(f"{path}: no complete rows")
-    a = np.array(
-        [
-            [_parse_float(r[j], i, f"col{j}") for j in _AUTO_PRICE_FEATURES]
-            for i, r in enumerate(kept, start=1)
-        ]
-    )
-    y = np.array([_parse_float(r[25], i, "price") for i, r in enumerate(kept, start=1)])
-    ts, prov = _normalize(a, y)
-    prov.update({"dataset": "auto_price", "rows_dropped": dropped})
+    values = _floats(path, kept, 26, _AUTO_PRICE_COLUMNS)
+    ts, prov = _normalize(values[:, :-1], values[:, -1])
+    prov.update({"dataset": "auto_price", "rows_dropped": len(rows) - len(kept)})
     return ts, prov

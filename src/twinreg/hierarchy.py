@@ -150,8 +150,6 @@ def scale_schedule(tau1: float, n: float, v: int) -> list[float]:
 
 def auto_tau1(ts: TrainingSet) -> float:
     """First-layer scale: the Euclidean diagonal of the input bounding box."""
-    if ts.m < 2:
-        raise ValueError("need at least two samples to measure the domain")
     extents = ts.a.max(axis=0) - ts.a.min(axis=0)
     diameter = float(np.sqrt(np.sum(extents**2)))
     if diameter == 0.0:

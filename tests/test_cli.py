@@ -158,6 +158,20 @@ class TestBenchmark:
         assert captured.out == ""
 
 
+_FUZZY_HEADER = b"x1_c,x1_w,x1_l,x1_r,y_c,y_w,y_l,y_r\n"
+
+# case -> (schema, file bytes, file line named in the error or None)
+MALFORMED_DATA = {
+    "bad_cell_after_blank_lines": ("crisp", b"x1,y\n1,2\n\n\n3,abc\n", 5),
+    "non_utf8": ("crisp", b"x1,y\n1,\xff\n", None),
+    "wrong_arity": ("crisp", b"x1,y\n1,2\n\n3\n", 4),
+    "negative_fuzzy_width": (
+        "fuzzy", _FUZZY_HEADER + b"1,0,0,0,2,0,0,0\n1,0,0,0,2,-0.1,0,0\n", 3),
+    "header_without_rows": ("crisp", b"x1,y\n", None),
+    "empty": ("crisp", b"", None),
+}
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run(["train", "--model", "nope"]) == EXIT_USAGE
@@ -181,6 +195,17 @@ class TestExitCodes:
              "--out", str(tmp_path / "m.json")]
         )
         assert code == EXIT_TRAINING
+
+    def test_single_row_hierarchy_is_training_failure(self, tmp_path, capsys):
+        # one point has zero extent, so the automatic first scale is degenerate
+        data = tmp_path / "one.csv"
+        data.write_text("x1,y\n0.5,1.0\n")
+        code = run(
+            ["train", "--model", "hftsvr", "--data", str(data),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == EXIT_TRAINING
+        assert "training failure" in capsys.readouterr().err
 
     def test_every_grid_cell_failing_is_training_failure(self, tmp_path):
         # constant targets: every cell's tuning score divides by zero variance
@@ -287,6 +312,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "data error" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict", "gridsearch"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DATA))
+    def test_malformed_data_file_is_data_error(self, tmp_path, capsys, line_model,
+                                               case, command):
+        schema, text, line = MALFORMED_DATA[case]
+        data = tmp_path / "bad.csv"
+        data.write_bytes(text)
+        argv = {
+            "train": ["train", "--model", "tsvr", "--out", str(tmp_path / "out.json")],
+            "evaluate": ["evaluate", "--model-file", str(line_model)],
+            "predict": ["predict", "--model-file", str(line_model)],
+            "gridsearch": ["gridsearch", "--model", "tsvr", "--range", "0", "0"],
+        }[command]
+        assert run(argv + ["--data", str(data), "--schema", schema]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "data error" in captured.err
+        assert captured.out == ""
+        if line is not None:
+            assert f"row {line}" in captured.err
 
     @pytest.mark.parametrize("point", ["nan", "inf"])
     def test_non_finite_point_is_usage_error(self, line_model, capsys, point):

@@ -7,12 +7,14 @@ import pytest
 
 from twinreg.data import (
     SYNTHETIC_FUNCTIONS,
+    DataError,
     DegenerateSplit,
     InconsistentArity,
     MissingHeader,
     ParseError,
     SyntheticSpec,
     generate,
+    holdout,
     load_csv,
     load_dataset,
     load_uci_auto_price,
@@ -87,6 +89,15 @@ class TestGenerate:
 
 
 class TestSplit:
+    def test_holdout_takes_a_quarter_for_test(self):
+        ts = TrainingSet(np.arange(10)[:, None].astype(float), np.arange(10.0))
+        ds = holdout(ts, seed=4, provenance={"kind": "csv"})
+        test, train = split(ts, 0.25, seed=4)
+        assert ds.test.m == 3 and ds.train.m == 7
+        np.testing.assert_array_equal(ds.test.y, test.y)
+        np.testing.assert_array_equal(ds.train.y, train.y)
+        assert ds.provenance == {"kind": "csv"}
+
     def test_paper_fraction_sizes(self):
         ts = TrainingSet(np.arange(10)[:, None].astype(float), np.arange(10.0))
         subset, rest = split(ts, 0.2, seed=0)
@@ -153,12 +164,20 @@ class TestCsv:
             load_csv(path, "crisp")
 
     def test_parse_error_reports_row_and_column(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x1,y\n0,0\nfoo,1\n")
-        with pytest.raises(ParseError) as info:
-            load_csv(path, "crisp")
-        assert info.value.row == 3
-        assert info.value.column == "x1"
+        fuzzy_header = "x1_c,x1_w,x1_l,x1_r,y_c,y_w,y_l,y_r\n"
+        cases = [
+            ("crisp", "x1,y\n0,0\nfoo,1\n", 3, "x1"),
+            # blank lines are skipped but still counted: rows are file lines
+            ("crisp", "x1,y\n1,2\n\n\n3,abc\n", 5, "y"),
+            ("fuzzy", fuzzy_header + "1,0,0,0,2,0,0,0\n\n\n1,0,0,0,2,0,x,0\n", 5, "y_l"),
+        ]
+        for schema, text, row, column in cases:
+            path = tmp_path / "bad.csv"
+            path.write_text(text)
+            with pytest.raises(ParseError) as info:
+                load_csv(path, schema)
+            assert info.value.row == row
+            assert info.value.column == column
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -171,6 +190,18 @@ class TestCsv:
         path.write_text("x1,x2,y\n0,0,0\n1,1\n")
         with pytest.raises(InconsistentArity):
             load_csv(path, "crisp")
+
+    @pytest.mark.parametrize("column", ["x1_w", "x2_l", "y_r"])
+    def test_negative_fuzzy_width_is_parse_error(self, tmp_path, column):
+        header = "x1_c,x1_w,x1_l,x1_r,x2_c,x2_w,x2_l,x2_r,y_c,y_w,y_l,y_r".split(",")
+        good = ["1.0", "0.1", "0.2", "0.3"] * 3
+        bad = [("-0.5" if name == column else v) for name, v in zip(header, good)]
+        path = tmp_path / "fz.csv"
+        path.write_text("\n".join([",".join(header), ",".join(good), ",".join(bad)]) + "\n")
+        with pytest.raises(ParseError, match="negative width") as info:
+            load_csv(path, "fuzzy")
+        assert info.value.row == 3
+        assert info.value.column == column
 
     def test_dataset_round_trip_bit_for_bit(self, tmp_path):
         ds = generate(sinc_spec(seed=11, n_train=40, n_test=30))
@@ -228,3 +259,32 @@ class TestUci:
         path.write_text("E,B,5,4\n")
         with pytest.raises(InconsistentArity):
             load_uci_servo(path)
+
+    def test_servo_bad_cell_after_blank_lines_reports_file_line(self, tmp_path):
+        path = tmp_path / "servo.data"
+        path.write_text("E,B,5,4,0.28125095\n\n\nB,D,6,x,0.5062525\n")
+        with pytest.raises(ParseError) as info:
+            load_uci_servo(path)
+        assert info.value.row == 4
+        assert info.value.column == "vgain"
+
+    def test_auto_price_bad_cell_after_dropped_rows_reports_file_line(self, tmp_path):
+        cols = ["0"] * 26
+        cols[1], cols[25] = "100", "13000"
+        missing = list(cols)
+        missing[9] = "?"
+        bad = list(cols)
+        bad[10] = "n/a"
+        path = tmp_path / "imports-85.data"
+        path.write_text("\n".join(",".join(r) for r in [cols, missing, missing, bad]) + "\n")
+        with pytest.raises(ParseError) as info:
+            load_uci_auto_price(path)
+        assert info.value.row == 4
+        assert info.value.column == "col10"
+
+    @pytest.mark.parametrize("loader", [load_uci_servo, load_uci_auto_price])
+    def test_non_utf8_file_is_data_error(self, tmp_path, loader):
+        path = tmp_path / "uci.data"
+        path.write_bytes(b"E,B,5,4,\xff\n")
+        with pytest.raises(DataError, match="unreadable"):
+            loader(path)

@@ -70,6 +70,10 @@ class TestAutoTau1:
         with pytest.raises(DegenerateDomain):
             auto_tau1(TrainingSet(np.array([[1.0], [1.0]]), np.zeros(2)))
 
+    def test_single_sample_is_degenerate_domain(self):
+        with pytest.raises(DegenerateDomain):
+            auto_tau1(TrainingSet(np.array([[0.5]]), np.zeros(1)))
+
 
 class TestLayerTradeoff:
     def test_alternating_unit_residuals(self):
