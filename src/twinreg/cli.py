@@ -93,9 +93,7 @@ def _cmd_train(args) -> int:
     if args.model == "hftsvr":
         params = hierarchy_config_from(args.config) if args.config else HierarchyConfig()
     else:  # tsvr and ftsvr share the crisp-on-centers training path
-        params = tsvr_params_from(args.config) if args.config else TsvrParams(
-            p1=1.0, p2=1.0, p3=0.1, p4=0.1, eps1=0.1, eps2=0.1
-        )
+        params = tsvr_params_from(args.config) if args.config else TsvrParams()
     t0 = time.perf_counter()
     model = fit(ts, params)
     seconds = time.perf_counter() - t0
@@ -199,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=REGRESSOR_KINDS, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", choices=("crisp", "fuzzy"), default="crisp")
-    p.add_argument("--config", help="INI file with [tsvr]/[kernel] or [hierarchy]")
+    p.add_argument("--config", help="INI file with [tsvr]/[kernel] or [hierarchy]; without "
+                   "it, the dataclass defaults, as an empty [tsvr] gives (eps1 = eps2 = 0)")
     p.add_argument("--out", required=True, help="model file path")
     p.set_defaults(func=_cmd_train)
 

@@ -98,17 +98,16 @@ def tsvr_params_from(path: str | Path) -> TsvrParams:
     parser = _read(path)
     if not parser.has_section("tsvr"):
         raise ConfigError(f"{path}: missing [tsvr] section")
-    values = {"p1": 1.0, "p2": 1.0, "p3": 0.1, "p4": 0.1}
-    values.update(_keys(TsvrParams, parser["tsvr"]))
+    values = _keys(TsvrParams, parser["tsvr"])
     return _build(TsvrParams, **values, kernel=kernel_from(parser))
 
 
 def hierarchy_config_from(path: str | Path) -> HierarchyConfig:
     parser = _read(path)
     section = _section(parser, "hierarchy")
-    p3 = _value(section, "p3", float) if "p3" in section else 0.1
+    p3 = _value(section, "p3", float) if "p3" in section else TsvrParams.p3
     p4 = _value(section, "p4", float) if "p4" in section else p3
-    base = _build(TsvrParams, p1=1.0, p2=1.0, p3=p3, p4=p4)
+    base = _build(TsvrParams, p3=p3, p4=p4)
     return _build(HierarchyConfig, **_keys(HierarchyConfig, section), base_params=base)
 
 

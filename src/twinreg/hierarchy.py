@@ -56,7 +56,8 @@ class HierarchyConfig:
     ``tau1=None`` derives the first scale from the input-domain diagonal;
     ``tube_tolerance=None`` uses 0.1 * eps; ``stop_residual_var=None`` uses
     1e-4 * var(Y).  ``base_params`` supplies the per-layer regularization
-    (p3, p4); its loss weights are overwritten with the variance rule.
+    (p3, p4), and ``None`` the :class:`TsvrParams` defaults; its loss weights
+    are overwritten with the variance rule.
     """
 
     max_layers: int = 6
@@ -94,9 +95,8 @@ class HierarchyConfig:
             raise ValueError("stop_rel_improvement must be non-negative and finite")
 
     def regularization(self) -> tuple[float, float]:
-        if self.base_params is None:
-            return 0.1, 0.1
-        return self.base_params.p3, self.base_params.p4
+        params = self.base_params or TsvrParams()
+        return params.p3, params.p4
 
     def resolved_tube_tolerance(self) -> float:
         if self.tube_tolerance is not None:

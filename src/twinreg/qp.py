@@ -220,8 +220,6 @@ def solve_spd(m_matrix: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArra
 
 def _kkt_residual(qp: BoxQp, alpha: NDArray[np.float64], grad: NDArray[np.float64]) -> float:
     projected = np.clip(alpha - grad, qp.lower, qp.upper)
-    if alpha.size == 0:
-        return 0.0
     return float(np.max(np.abs(alpha - projected)))
 
 

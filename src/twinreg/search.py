@@ -172,7 +172,7 @@ def _hierarchy_cells(grid: GridSpec, y_std: float, base: HierarchyConfig):
     for s in s_values:
         for p3 in grid.power_grid():
             for eps in eps_values:
-                template = TsvrParams(p1=1.0, p2=1.0, p3=p3, p4=p3)
+                template = TsvrParams(p3=p3, p4=p3)
                 yield replace(
                     base,
                     s_factor=s,

@@ -109,13 +109,15 @@ class TsvrParams:
 
     p1 bounds the multipliers of the down-function QP, p2 those of the
     up-function QP; p3/p4 are the ridge terms that make both duals strictly
-    convex.  eps1/eps2 may be zero (the tube degenerates gracefully).
+    convex.  eps1/eps2 may be zero (the tube degenerates gracefully).  The
+    defaults (p1 = p2 = 1, p3 = p4 = 0.1, eps1 = eps2 = 0, linear kernel) are
+    written only here; the CLI and the config readers build on them.
     """
 
-    p1: float
-    p2: float
-    p3: float
-    p4: float
+    p1: float = 1.0
+    p2: float = 1.0
+    p3: float = 0.1
+    p4: float = 0.1
     eps1: float = 0.0
     eps2: float = 0.0
     kernel: KernelSpec = field(default_factory=KernelSpec)

@@ -16,6 +16,7 @@ from twinreg.benchmark import (
 from twinreg.hierarchy import HierarchyConfig
 from twinreg.qp import MaxIterationsExceeded, NotPositiveDefinite
 from twinreg.search import GridSpec
+from twinreg.tsvr import TrainingSet
 
 TINY_GRID = GridSpec(exponent_low=-3, exponent_high=3, exponent_step=3)
 
@@ -78,6 +79,23 @@ class TestSuite:
         )
         result = run_benchmark(suite)
         assert len(result.rows) == 1
+
+    def test_table_shows_spread_and_undefined_mape(self, tmp_path):
+        # Half the targets are zero, so both seeds' test splits hold a zero
+        # and MAPE is undefined on each.
+        x = np.linspace(-1.0, 1.0, 40)
+        ts = TrainingSet(x[:, None], np.maximum(x, 0.0))
+        path = tmp_path / "zeros.csv"
+        data_mod.save_training_csv(ts, path)
+        result = run_benchmark(
+            tiny_suite(datasets=("zeros",), csv_paths={"zeros": str(path)}, n_seeds=2)
+        )
+        row = result.rows[0]
+        assert row.mean["mape"] is None and row.std["mape"] is None
+        line = format_table(result).splitlines()[-1]
+        assert line.startswith("zeros")
+        assert line.count(" ± ") == 3
+        assert line.rstrip().split()[-2] == "n/a"
 
     def test_reports_written(self, tmp_path):
         suite = tiny_suite(outdir=str(tmp_path))

@@ -95,6 +95,17 @@ class TestTrainPredictEvaluate:
         record = json.loads(model_path.read_text())
         assert record["kind"] == "hftsvr"
 
+    @pytest.mark.parametrize("model", ["tsvr", "ftsvr"])
+    def test_no_config_trains_the_empty_tsvr_section(self, dataset_files, tmp_path,
+                                                     model):
+        config = tmp_path / "empty.ini"
+        config.write_text("[tsvr]\n")
+        train = ["train", "--model", model, "--data", f"{dataset_files}_train.csv"]
+        bare, configured = tmp_path / "bare.json", tmp_path / "configured.json"
+        assert run(train + ["--out", str(bare)]) == EXIT_OK
+        assert run(train + ["--config", str(config), "--out", str(configured)]) == EXIT_OK
+        assert bare.read_bytes() == configured.read_bytes()
+
     def test_fuzzy_schema_training(self, tmp_path):
         data = tmp_path / "fz.csv"
         rows = ["x1_c,x1_w,x1_l,x1_r,y_c,y_w,y_l,y_r"]
@@ -122,6 +133,25 @@ class TestGridsearch:
         summary = json.loads(capsys.readouterr().out.split("wrote")[0])
         assert summary["cells_evaluated"] > 0
         assert out.exists()
+
+    # (p1 = p2) x (p3 = p4) x eps over exponents -1..1: 3 x 3 x 2 linear cells;
+    # the hierarchy's S x p3 x eps gives 3 x 3 x 1.  The flags' default grid
+    # would give 3,610 linear cells.
+    @pytest.mark.parametrize("model,cells,key_length", [("tsvr", 18, 6), ("hftsvr", 9, 3)])
+    def test_config_sets_the_grid(self, dataset_files, tmp_path, capsys, model,
+                                  cells, key_length):
+        config = tmp_path / "grid.ini"
+        config.write_text(
+            "[grid]\nexponent_low = -1\nexponent_high = 1\nexponent_step = 1\n"
+            "[hierarchy]\nmax_layers = 2\n"
+        )
+        assert run(
+            ["gridsearch", "--model", model, "--data", f"{dataset_files}_train.csv",
+             "--config", str(config)]
+        ) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cells_evaluated"] + summary["cells_failed"] == cells
+        assert len(summary["best_key"]) == key_length
 
 
 class TestBenchmark:

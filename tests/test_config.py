@@ -1,5 +1,8 @@
 """Tests for the INI config readers."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from twinreg.benchmark import SuiteSpec
@@ -240,3 +243,12 @@ class TestSuite:
             suite_from(ini(
                 "[suite]\nbase_seed = first\n[hierarchy]\nmax_layers = several\n"
             ))
+
+
+def test_readme_example_parses(ini):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    path = ini(blocks[0])
+    for reader in (tsvr_params_from, hierarchy_config_from, grid_spec_from, suite_from):
+        reader(path)

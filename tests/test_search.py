@@ -212,6 +212,22 @@ class TestCellFailures:
         )
         assert {c["key"][0] for c in report.cells} == {1.0, 4.0}
 
+    def test_non_finite_score_recorded_and_skipped(self, monkeypatch):
+        from twinreg import search as search_mod
+
+        real = search_mod.tsvr_mod.predict
+
+        def nan_for_p1_two(model, x):
+            yhat = real(model, x)
+            return np.full_like(yhat, np.nan) if model.params.p1 == 2.0 else yhat
+
+        monkeypatch.setattr(search_mod.tsvr_mod, "predict", nan_for_p1_two)
+        _, report = grid_search(line_dataset(), "tsvr", self.GRID, seed=0)
+        assert report.failures
+        assert all(f["key"][0] == 2.0 for f in report.failures)
+        assert all(f["error"] == "non-finite score nan" for f in report.failures)
+        assert {c["key"][0] for c in report.cells} == {1.0, 4.0}
+
     def test_every_cell_failing_is_typed(self, monkeypatch):
         self.fail_when(monkeypatch, NotPositiveDefinite("singular"), 1.0)
         grid = GridSpec(exponent_low=0, exponent_high=0)

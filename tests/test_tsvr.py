@@ -555,6 +555,9 @@ class TestNonFiniteQueries:
 
 
 class TestValidation:
+    def test_params_defaults(self):
+        assert TsvrParams() == TsvrParams(1.0, 1.0, 0.1, 0.1, 0.0, 0.0, KernelSpec())
+
     def test_params_require_positive_weights(self):
         with pytest.raises(ValueError):
             TsvrParams(0.0, 1, 1, 1)
