@@ -30,7 +30,7 @@ from .hierarchy import (
 )
 from .metrics import MetricsReport, metrics
 from .model_io import load_model, save_model
-from .qp import BoxQp, LowRankHessian, QpSolution, box_qp_oracle, solve_box_qp, solve_spd
+from .qp import BoxQp, LowRankHessian, QpSolution, solve_box_qp, solve_spd
 from .search import GridSpec, grid_search
 from .tsvr import (
     KernelSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "TrapezoidalFuzzyNumber",
     "TsvrModel",
     "TsvrParams",
-    "box_qp_oracle",
     "generate",
     "grid_search",
     "load_csv",

@@ -56,8 +56,10 @@ class HierarchyConfig:
     ``tau1=None`` derives the first scale from the input-domain diagonal;
     ``tube_tolerance=None`` uses 0.1 * eps; ``stop_residual_var=None`` uses
     1e-4 * var(Y).  ``base_params`` supplies the per-layer regularization
-    (p3, p4), and ``None`` the :class:`TsvrParams` defaults; its loss weights
-    are overwritten with the variance rule.
+    (p3, p4) and defaults to ``TsvrParams()``, so ``HierarchyConfig()``
+    carries its ridges; its loss weights are overwritten with the variance
+    rule.  ``base_params`` is None only in version-1 files, and then means
+    the :class:`TsvrParams` defaults too.
     """
 
     max_layers: int = 6
@@ -71,14 +73,14 @@ class HierarchyConfig:
     # capture, so the improvement stop is off by default (0 = stop only when
     # a layer yields no improvement at all).
     stop_rel_improvement: float = 0.0
-    base_params: TsvrParams | None = None
+    base_params: TsvrParams | None = field(default_factory=TsvrParams)
     pruning_enabled: bool = True
 
     def __post_init__(self):
         if self.max_layers < 1:
             raise ValueError("max_layers must be >= 1")
-        if self.tau1 is not None and not np.isfinite(self.tau1):
-            raise ValueError("tau1 must be finite")
+        if self.tau1 is not None and not 0 < self.tau1 < np.inf:
+            raise ValueError("tau1 must be positive and finite")
         if not np.isfinite(self.scale_divisor):
             raise ValueError("scale_divisor must be finite")
         if self.scale_divisor < 2:

@@ -8,13 +8,12 @@ that dual assembly produces: the solver only multiplies by Q, so a factored Q
 costs O(mk) per product and the m x m matrix is never formed.  The symmetry
 of a factored Q is the caller's contract; :class:`BoxQp` probes it once.
 
-This module provides the production solver (:func:`solve_box_qp`, projected
+This module provides the box-QP solver (:func:`solve_box_qp`, projected
 gradient with exact line search plus a conjugate-gradient polish on the free
 face, which needs no factor and so works on singular faces), the SPD solve
 that dual assembly and primal recovery use (:func:`solve_spd`, a
 ``numpy.linalg`` Cholesky factor as the definiteness check, then one
-``numpy.linalg.solve``, never an explicit inverse), and a brute-force grid
-oracle (:func:`box_qp_oracle`) used only by tests.
+``numpy.linalg.solve``, never an explicit inverse).
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ from numpy.typing import NDArray
 
 class NotPositiveDefinite(Exception):
     """Symmetric factorization hit a non-positive pivot."""
-
-
-class DimensionTooLarge(Exception):
-    """The exhaustive grid oracle only handles dimension <= 5."""
 
 
 class MaxIterationsExceeded(Exception):
@@ -329,66 +324,3 @@ def solve_box_qp(
 
     grad = q @ best_x + c
     raise MaxIterationsExceeded(best_x, _kkt_residual(problem, best_x, grad))
-
-
-# Points per axis for the oracle grids, by dimension.  Chosen so a full
-# product grid stays a few hundred thousand evaluations per pass.
-_ORACLE_AXIS_POINTS = {1: 4097, 2: 257, 3: 49, 4: 21, 5: 13}
-
-
-def _grid_best(q: NDArray, c: NDArray, lo: NDArray, hi: NDArray, points: int):
-    axes = [np.linspace(lo[j], hi[j], points) for j in range(c.size)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = 0.5 * np.sum((pts @ q) * pts, axis=1) + pts @ c
-    best = int(np.argmin(vals))
-    return pts, vals, best
-
-
-def box_qp_oracle(problem: BoxQp, grid_step: float = 1e-3) -> NDArray[np.float64]:
-    """Exhaustive grid minimizer for small box QPs; test oracle only.
-
-    Evaluates the objective on a full product grid over the box, then runs
-    two refinement passes, each re-gridding the bounding box of every grid
-    point whose value is within the provable optimality gap of the best
-    (expanded by one spacing, so the true minimizer cannot escape the
-    window).  Returns a feasible point whose objective is within
-    ``O(grid_step**2)`` of optimal, with a constant proportional to the
-    largest eigenvalue of Q.  Restricted to dimension <= 5.
-    """
-    n = problem.dim
-    if n > 5:
-        raise DimensionTooLarge(f"oracle supports dimension <= 5, got {n}")
-    if n == 0:
-        return np.zeros(0)
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-
-    q = np.asarray(problem.q)
-    lam_max = float(np.max(np.linalg.eigvalsh(q)))
-    lo = problem.lower.copy()
-    hi = problem.upper.copy()
-    best_point = None
-    best_value = np.inf
-
-    for _ in range(3):  # initial grid + two refinement passes
-        width = float(np.max(hi - lo))
-        points = _ORACLE_AXIS_POINTS[n]
-        if width > 0:
-            needed = int(np.ceil(width / grid_step)) + 1
-            points = min(points, max(needed, 2))
-        pts, vals, idx = _grid_best(q, problem.c, lo, hi, points)
-        if vals[idx] < best_value:
-            best_value = float(vals[idx])
-            best_point = pts[idx].copy()
-        spacing = width / (points - 1) if points > 1 else 0.0
-        if spacing <= 0:
-            break
-        # Any grid point nearest the true minimizer is within this gap of the
-        # best sampled value; keep them all and shrink to their bounding box.
-        gap = 0.5 * lam_max * (0.5 * spacing * np.sqrt(n)) ** 2
-        keep = pts[vals <= vals[idx] + gap]
-        lo = np.maximum(problem.lower, keep.min(axis=0) - spacing)
-        hi = np.minimum(problem.upper, keep.max(axis=0) + spacing)
-
-    return best_point

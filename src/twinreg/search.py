@@ -77,6 +77,8 @@ class GridSpec:
             raise ValueError("exponent_step must be >= 1")
         if self.objective not in ("nmse", "sse"):
             raise ValueError("objective must be 'nmse' or 'sse'")
+        if not 0 < self.tuning_fraction < 1:
+            raise ValueError("tuning_fraction must lie strictly between 0 and 1")
 
     def power_grid(self) -> list[float]:
         ks = range(self.exponent_low, self.exponent_high + 1, self.exponent_step)

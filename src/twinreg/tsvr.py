@@ -31,10 +31,10 @@ and the m x m matrix is never formed.  H is symmetric by construction, up to
 the round-off of the solve that makes X; :class:`~twinreg.qp.BoxQp` probes
 that once per dual.
 
-Prediction evaluates the kernel expansion ``K(x, basis) w`` for at most
-``BUDGET // len(basis)`` query rows at a time, so its memory is O(``BUDGET``)
-beyond the result, whatever the number of points; no path builds the whole
-query x basis matrix.
+Prediction needs only the average of h1 and h2, so it evaluates one kernel
+expansion ``K(x, basis) (w1 + w2)``, for at most ``BUDGET // len(basis)``
+query rows at a time: its memory is O(``BUDGET``) beyond the result, whatever
+the number of points, and no path builds the whole query x basis matrix.
 """
 
 from __future__ import annotations
@@ -431,29 +431,27 @@ def query_rows(x: NDArray, input_dim: int) -> tuple[NDArray[np.float64], bool]:
     return x, single
 
 
-def _expansions(
-    model: TsvrModel, x: NDArray, weights: tuple[NDArray, ...]
-) -> tuple[list[NDArray[np.float64]], bool]:
-    """``phi(x) @ w`` for each w in ``weights``, and whether a single point
-    came in.
+def _expansion(
+    model: TsvrModel, x: NDArray, w: NDArray
+) -> tuple[NDArray[np.float64], bool]:
+    """``phi(x) @ w``, and whether a single point came in.
 
     ``phi(x)`` is x itself in linear mode.  In kernel mode it is ``K(x,
     basis)``, built for at most ``max(1, BUDGET // len(basis))`` query rows at
-    a time; each block is applied to every w before the next is built.
+    a time.
     """
     x, single = query_rows(x, model.input_dim)
     if model.basis is None:
-        return [x @ w for w in weights], single
-    values = np.empty((len(weights), x.shape[0]))
+        return x @ w, single
+    value = np.empty(x.shape[0])
     step = max(1, BUDGET // len(model.basis))
     for start in range(0, x.shape[0], step):
         rows = gaussian_kernel(x[start : start + step], model.basis, model.kernel.tau)
-        for value, w in zip(values, weights):
-            value[start : start + step] = rows @ w
+        value[start : start + step] = rows @ w
         # Free the block before the next is built: with two alive, glibc's
         # malloc trimmed and refaulted its heap top at nearly every block.
         del rows
-    return list(values), single
+    return value, single
 
 
 def predict(model: TsvrModel, x: NDArray) -> float | NDArray[np.float64]:
@@ -463,18 +461,6 @@ def predict(model: TsvrModel, x: NDArray) -> float | NDArray[np.float64]:
     vector).  Kernel rows are built a block at a time, so beyond the result
     memory is O(``BUDGET``) for any number of points.
     """
-    (h,), single = _expansions(model, x, (model.w1 + model.w2,))
+    h, single = _expansion(model, x, model.w1 + model.w2)
     values = 0.5 * (h + (model.b1 + model.b2))
     return float(values[0]) if single else values
-
-
-def predict_components(model: TsvrModel, x: NDArray) -> tuple[NDArray, NDArray]:
-    """The two proximal functions evaluated separately (diagnostics)."""
-    (h1, h2), _ = _expansions(model, x, (model.w1, model.w2))
-    return h1 + model.b1, h2 + model.b2
-
-
-def slack_down(model: TsvrModel, ts: TrainingSet) -> NDArray[np.float64]:
-    """Recovered inequality slack of the down problem: max(0, -r - eps1)."""
-    h1, _ = predict_components(model, ts.a)
-    return np.maximum(0.0, -(ts.y - h1) - model.params.eps1)

@@ -18,10 +18,11 @@ from twinreg import hierarchy as hier_mod
 from twinreg import tsvr as tsvr_mod
 from twinreg.hierarchy import HierarchyConfig
 from twinreg.metrics import metrics
-from twinreg.qp import box_qp_oracle, solve_box_qp
+from twinreg.qp import solve_box_qp
 from twinreg.search import GridSpec, grid_search
 from twinreg.tsvr import KernelSpec, TrainingSet, TsvrParams
 
+from oracles import box_qp_oracle, predict_components, slack_down
 from test_qp import random_spd_qp
 
 ACCEPTANCE_GRID = GridSpec(exponent_low=-9, exponent_high=9, exponent_step=2)
@@ -106,8 +107,8 @@ def test_criterion_2_kkt_suite():
         assert max(r1, r2) <= bound
         worst_stat = max(worst_stat, r1 / bound, r2 / bound)
 
-        h1, _ = tsvr_mod.predict_components(model, ts.a)
-        xi = tsvr_mod.slack_down(model, ts)
+        h1, _ = predict_components(model, ts.a)
+        xi = slack_down(model, ts)
         interior = (diag.alpha > 1e-6) & (diag.alpha < params.p1 - 1e-6)
         if interior.any():
             cs = float(np.max(np.abs((ts.y - h1 + params.eps1 + xi)[interior])))

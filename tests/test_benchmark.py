@@ -110,6 +110,19 @@ class TestSuite:
         assert header == "x,y,yhat"
         assert len(first.split(",")) == 3
 
+    def test_no_curve_for_two_input_dataset(self, tmp_path):
+        rng = np.random.default_rng(0)
+        a = rng.uniform(-1.0, 1.0, size=(40, 2))
+        path = tmp_path / "plane.csv"
+        data_mod.save_training_csv(TrainingSet(a, a @ [1.0, -2.0]), path)
+        outdir = tmp_path / "out"
+        result = run_benchmark(tiny_suite(
+            datasets=("plane",), csv_paths={"plane": str(path)}, outdir=str(outdir)
+        ))
+        assert len(result.rows) == 1
+        assert (outdir / "report.json").exists()
+        assert list(outdir.glob("curve_*")) == []
+
     def test_curve_sorted_by_x(self, tmp_path):
         suite = tiny_suite(outdir=str(tmp_path))
         run_benchmark(suite)
@@ -171,6 +184,18 @@ class TestFailures:
         (failure,) = result.failures
         assert failure["stage"] == "grid_search"
         assert failure["error"].startswith("AllCellsFailed")
+
+    def test_table_lists_each_failure(self, monkeypatch):
+        from twinreg import tsvr
+
+        monkeypatch.setattr(
+            tsvr, "train", self.failing_train(MaxIterationsExceeded(np.zeros(1), 1.0))
+        )
+        result = run_benchmark(tiny_suite())
+        failed = [line for line in format_table(result).splitlines()
+                  if line.startswith("FAILED ")]
+        assert len(failed) == 1
+        assert "power_two_thirds" in failed[0] and "AllCellsFailed" in failed[0]
 
     def test_typed_failure_of_one_seed_annotated(self, monkeypatch):
         from twinreg import benchmark

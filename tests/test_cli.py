@@ -106,6 +106,21 @@ class TestTrainPredictEvaluate:
         assert run(train + ["--config", str(config), "--out", str(configured)]) == EXIT_OK
         assert bare.read_bytes() == configured.read_bytes()
 
+    def test_no_config_hierarchy_matches_a_tsvr_only_config(self, dataset_files,
+                                                           tmp_path):
+        # configs, not bytes: the hierarchy report holds layer timings
+        config = tmp_path / "tsvr_only.ini"
+        config.write_text("[tsvr]\n")
+        train = ["train", "--model", "hftsvr", "--data", f"{dataset_files}_train.csv"]
+        bare, configured = tmp_path / "bare.json", tmp_path / "configured.json"
+        assert run(train + ["--out", str(bare)]) == EXIT_OK
+        assert run(train + ["--config", str(config), "--out", str(configured)]) == EXIT_OK
+        bare_config, configured_config = (
+            json.loads(path.read_text())["payload"]["config"]
+            for path in (bare, configured)
+        )
+        assert bare_config == configured_config
+
     def test_fuzzy_schema_training(self, tmp_path):
         data = tmp_path / "fz.csv"
         rows = ["x1_c,x1_w,x1_l,x1_r,y_c,y_w,y_l,y_r"]
@@ -188,6 +203,21 @@ class TestBenchmark:
         assert captured.out == ""
 
 
+    def test_bad_hierarchy_value_stops_the_suite_before_tuning(self, tmp_path,
+                                                               capsys):
+        outdir = tmp_path / "results"
+        suite = tmp_path / "suite.ini"
+        suite.write_text(
+            "[suite]\ndatasets = power_two_thirds\nregressors = tsvr, hftsvr\n"
+            f"n_seeds = 1\noutdir = {outdir}\n[hierarchy]\ntau1 = -1\n"
+        )
+        assert run(["benchmark", "--suite", str(suite)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "config error: tau1 must be positive and finite" in captured.err
+        assert captured.out == ""
+        assert not outdir.exists()
+
+
 _FUZZY_HEADER = b"x1_c,x1_w,x1_l,x1_r,y_c,y_w,y_l,y_r\n"
 
 # case -> (schema, file bytes, file line named in the error or None)
@@ -252,6 +282,18 @@ class TestExitCodes:
         assert run(
             ["predict", "--model-file", str(bad), "--point", "0"]
         ) == EXIT_DATA
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "svm"])
+    def test_model_record_of_no_known_kind_is_data_error(self, line_model, capsys,
+                                                          text):
+        model = line_model
+        if text == "svm":  # the payload and its checksum stay valid
+            text = model.read_text().replace('"kind": "tsvr"', '"kind": "svm"', 1)
+        model.write_text(text)
+        assert run(
+            ["predict", "--model-file", str(model), "--point", "0"]
+        ) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, text", [
         ("tsvr", b"p1 = 2\n"),  # no section header

@@ -142,6 +142,8 @@ class TestHierarchy:
         "[hierarchy]\npruning_enabled = maybe\n",
         "[hierarchy]\neps = inf\n",
         "[hierarchy]\ntau1 = inf\n",
+        "[hierarchy]\ntau1 = 0\n",
+        "[hierarchy]\ntau1 = -1\n",
         "[hierarchy]\nscale_divisor = nan\n",
         "[hierarchy]\ntube_tolerance = inf\n",
         "[hierarchy]\nstop_residual_var = nan\n",
@@ -181,6 +183,9 @@ class TestGrid:
         "[grid]\ntie_eps = sometimes\n",
         "[grid]\nobjective = mae\n",
         "[grid]\ntuning_fraction = auto\n",
+        "[grid]\ntuning_fraction = 0\n",
+        "[grid]\ntuning_fraction = 1\n",
+        "[grid]\ntuning_fraction = 1.5\n",
     ])
     def test_bad_values(self, ini, text):
         with pytest.raises(ConfigError):

@@ -325,3 +325,28 @@ class TestTrainHierarchy:
             HierarchyConfig(s_factor=0.0)
         with pytest.raises(ValueError):
             HierarchyConfig(max_layers=0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_config_rejects_non_positive_tau1(self, bad):
+        with pytest.raises(ValueError, match="tau1 must be positive and finite"):
+            HierarchyConfig(tau1=bad)
+
+    def test_default_config_carries_the_tsvr_ridges(self):
+        assert HierarchyConfig().base_params == TsvrParams()
+        assert HierarchyConfig().regularization() == (0.1, 0.1)
+        assert HierarchyConfig(base_params=None).regularization() == (0.1, 0.1)
+
+    def test_explicit_tube_tolerance_reaches_pruning(self, monkeypatch):
+        from twinreg import hierarchy as hier_mod
+
+        seen = []
+        real = hier_mod.prune_set
+
+        def prune_set(residuals, eps, n, tp):
+            seen.append(tp)
+            return real(residuals, eps, n, tp)
+
+        monkeypatch.setattr(hier_mod, "prune_set", prune_set)
+        ds = small_sinc_dataset()
+        train_hierarchy(ds.train, HierarchyConfig(max_layers=2, tube_tolerance=0.03))
+        assert seen and all(tp == 0.03 for tp in seen)

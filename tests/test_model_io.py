@@ -121,6 +121,30 @@ class TestFailureModes:
         with pytest.raises(CorruptModel):
             load_model(path)
 
+    def test_json_array_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(CorruptModel, match="not a model record"):
+            load_model(path)
+
+    def test_unknown_kind_with_valid_checksum_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(linear_model(), path)
+        path.write_text(path.read_text().replace('"kind": "tsvr"', '"kind": "svm"', 1))
+        with pytest.raises(CorruptModel, match="unknown model kind 'svm'"):
+            load_model(path)
+
+    def test_version_one_null_base_params_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(hierarchy_model(), path)
+        record = json.loads(path.read_text())
+        record["payload"]["config"]["base_params"] = None
+        record["checksum"] = _checksum(record["payload"])
+        path.write_text(json.dumps(record))
+        config = load_model(path).config
+        assert config.base_params is None
+        assert config.regularization() == (0.1, 0.1)
+
     @pytest.mark.parametrize("factory", [linear_model, hierarchy_model])
     @pytest.mark.parametrize(
         "mutate",
@@ -163,7 +187,7 @@ class TestFailureModes:
             record["payload"]["layers"][0]["tau"] = "coarse"
         elif mutate == "pruned_text":
             record["payload"]["layers"][1]["pruned_indices"] = "all"
-        else:  # base params without p3 (the fixture's config has none)
+        else:  # base params without p3
             base = dict(record["payload"]["layers"][0]["model"]["params"])
             del base["p3"]
             record["payload"]["config"]["base_params"] = base

@@ -6,15 +6,15 @@ import pytest
 from twinreg import qp as qp_mod
 from twinreg.qp import (
     BoxQp,
-    DimensionTooLarge,
     LowRankHessian,
     MaxIterationsExceeded,
     NotPositiveDefinite,
     QpSolution,
-    box_qp_oracle,
     solve_box_qp,
     solve_spd,
 )
+
+from oracles import DimensionTooLarge, box_qp_oracle
 
 
 def gaussian_elimination(m, rhs):

@@ -46,6 +46,21 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(objective="rmse")
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_tuning_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="tuning_fraction"):
+            GridSpec(tuning_fraction=fraction)
+
+    def test_hierarchy_cells_fall_back_to_unit_s(self):
+        # no power of two in 8..32 lies in [0.25, 5], and no tube exponent < 0
+        from twinreg import search as search_mod
+
+        grid = GridSpec(exponent_low=3, exponent_high=5)
+        cells = list(search_mod._hierarchy_cells(grid, 2.0, HierarchyConfig()))
+        assert [search_mod._hierarchy_key(c) for c in cells] == [
+            (1.0, 8.0, 1.0), (1.0, 16.0, 1.0), (1.0, 32.0, 1.0)
+        ]
+
 
 class TestGridSearch:
     def test_single_cell_grid_returns_that_cell(self):

@@ -8,7 +8,7 @@ import pytest
 from twinreg import data as data_mod
 from twinreg import tsvr
 from twinreg.hierarchy import auto_tau1, scale_schedule
-from twinreg.qp import LowRankHessian, QpSolution, box_qp_oracle, solve_box_qp
+from twinreg.qp import LowRankHessian, QpSolution, solve_box_qp
 from twinreg.tsvr import (
     DimensionMismatch,
     KernelSpec,
@@ -23,6 +23,8 @@ from twinreg.tsvr import (
     subset_design,
     train,
 )
+
+from oracles import box_qp_oracle, predict_components, slack_down
 
 
 def oracle_solver(problem):
@@ -287,8 +289,8 @@ class TestKktCertificates:
                                  - j.T @ (ts.y + diag.gamma))) <= bound
 
             # complementary slackness on strictly interior down multipliers
-            h1, _ = tsvr.predict_components(model, ts.a)
-            xi = tsvr.slack_down(model, ts)
+            h1, _ = predict_components(model, ts.a)
+            xi = slack_down(model, ts)
             interior = (diag.alpha > 1e-6) & (diag.alpha < params.p1 - 1e-6)
             if interior.any():
                 residual = (ts.y - h1 + params.eps1 + xi)[interior]
@@ -349,7 +351,7 @@ class TestBlockedExpansion:
         h1 = rows @ model.w1 + model.b1
         h2 = rows @ model.w2 + model.b2
         one_shot = 0.5 * (rows @ (model.w1 + model.w2) + (model.b1 + model.b2))
-        got = (predict(model, x), *tsvr.predict_components(model, x))
+        got = (predict(model, x), *predict_components(model, x))
         for value, expected in zip(got, (one_shot, h1, h2)):
             assert value.shape == (len(x),)
             tol = 1e-13 * (1 + np.max(np.abs(expected)))
@@ -357,7 +359,7 @@ class TestBlockedExpansion:
 
     def test_empty_batch(self, model):
         assert predict(model, np.empty((0, 2))).shape == (0,)
-        h1, h2 = tsvr.predict_components(model, np.empty((0, 2)))
+        h1, h2 = predict_components(model, np.empty((0, 2)))
         assert h1.shape == h2.shape == (0,)
 
     def test_single_point_is_a_float(self, model):
@@ -551,7 +553,7 @@ class TestNonFiniteQueries:
             with pytest.raises(ValueError, match="non-finite"):
                 predict(model, np.array([[0.5], [bad]]))
             with pytest.raises(ValueError, match="non-finite"):
-                tsvr.predict_components(model, [bad])
+                predict_components(model, [bad])
 
 
 class TestValidation:
