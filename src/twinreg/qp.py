@@ -10,7 +10,10 @@ of a factored Q is the caller's contract; :class:`BoxQp` probes it once.
 
 This module provides the box-QP solver (:func:`solve_box_qp`, projected
 gradient with exact line search plus a conjugate-gradient polish on the free
-face, which needs no factor and so works on singular faces), the SPD solve
+face, which needs no factor and so works on singular faces: where the face is
+flat along the CG direction it steps to the first bound that direction meets,
+and a step that a bound cuts is also tried in full, projected onto the box,
+so one polish can clamp many coordinates), the SPD solve
 that dual assembly and primal recovery use (:func:`solve_spd`, a
 ``numpy.linalg`` Cholesky factor as the definiteness check, then one
 ``numpy.linalg.solve``, never an explicit inverse).
@@ -18,6 +21,7 @@ that dual assembly and primal recovery use (:func:`solve_spd`, a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,11 +118,11 @@ class BoxQp:
         if lower.size != n or upper.size != n:
             raise ValueError("bound vectors must match the dimension of c")
         finite = [q.left, q.right, c] if factored else [q, c]
-        if not all(np.all(np.isfinite(x)) for x in finite):
+        if not all(np.isfinite(x).all() for x in finite):
             raise ValueError("Q and c must be finite")
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+        if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("bounds must not be NaN")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ValueError("lower bound exceeds upper bound")
         if factored:
             _probe_symmetric(q)
@@ -147,8 +151,9 @@ class QpSolution:
     where P projects onto the box and g is the gradient.  ``iterations``
     counts projected-gradient steps, each followed by one polish;
     ``cg_steps`` counts the conjugate-gradient steps (one product ``q @ p``
-    each) over all polishes, and ``polish_rejected`` the polished points
-    that did not lower the objective and were dropped.
+    each) over all polishes, and ``polish_rejected`` the polishes that
+    moved but none of whose candidate points (one, or two where a bound cut
+    the last step) lowered the objective, so the iterate stayed put.
     """
 
     alpha: NDArray[np.float64]
@@ -173,16 +178,24 @@ def _validate_symmetric(m_matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     return m
 
 
+@functools.lru_cache(maxsize=8)
+def _probe_pair(m: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The fixed probe vectors of dimension m, built once and read-only."""
+    steps = np.arange(1, m + 1)
+    u, v = np.sin(1.7 * steps), np.cos(2.3 * steps)
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
 def _probe_symmetric(q: LowRankHessian) -> None:
     """Compare ``u'Qv`` with ``v'Qu`` for two fixed vectors, in O(mk)."""
-    steps = np.arange(1, q.shape[0] + 1)
-    u, v = np.sin(1.7 * steps), np.cos(2.3 * steps)
+    u, v = _probe_pair(q.shape[0])
     u_left, v_left = u @ q.left, v @ q.left
     right_u, right_v = q.right @ u, q.right @ v
     asym = abs(float(u_left @ right_v) - float(v_left @ right_u))
     # Cauchy-Schwarz bounds each term by the product of its factor norms.
-    scale = (np.linalg.norm(u_left) * np.linalg.norm(right_v)
-             + np.linalg.norm(v_left) * np.linalg.norm(right_u))
+    ul, vl, ru, rv = (math.sqrt(float(a @ a)) for a in (u_left, v_left, right_u, right_v))
+    scale = ul * rv + vl * ru
     if asym > 1e-8 * scale:
         raise ValueError(f"factored matrix is not symmetric (probe asymmetry {asym:.3e})")
 
@@ -214,8 +227,10 @@ def solve_spd(m_matrix: NDArray[np.float64], rhs: NDArray[np.float64]) -> NDArra
 
 
 def _kkt_residual(qp: BoxQp, alpha: NDArray[np.float64], grad: NDArray[np.float64]) -> float:
-    projected = np.clip(alpha - grad, qp.lower, qp.upper)
-    return float(np.max(np.abs(alpha - projected)))
+    gap = np.subtract(alpha, grad)
+    np.minimum(np.maximum(gap, qp.lower, out=gap), qp.upper, out=gap)  # P(alpha - g)
+    gap -= alpha
+    return float(np.maximum.reduce(np.abs(gap, out=gap)))
 
 
 def solve_box_qp(
@@ -230,13 +245,18 @@ def solve_box_qp(
     face: once the gradient signs identify the clamped coordinates, CG
     minimizes over the free coordinates from the current iterate, one
     product ``q @ p`` per step with the clamped entries zeroed.  CG stops at
-    flat curvature (``p'Qp <= 1e-14 trace(Q) p'p``: the face is singular
-    along p), at a residual floor, after as many steps as there are free
-    coordinates, or on the first bound a step would cross, where that step
-    is cut short; on a face of rank r it ends within r + 1 products.  The
-    clipped CG point is kept only when it lowers the objective.  No
-    factorization is made, so a PSD Hessian of any rank is handled the same
-    way.
+    a residual floor, after as many steps as there are free coordinates, or
+    where a bound cuts its step.  A cut step ends the polish with two
+    candidates, the point where p meets the bound and the full step
+    projected onto the box (which can clamp many coordinates at once), and
+    the lower of them is kept if it lowers the objective.  At flat
+    curvature (``p'Qp <= 1e-14 trace(Q) p'p``: the face is singular along
+    p) the objective falls linearly along p, so CG steps to the first bound
+    p meets, and stops without moving only when p meets no finite bound; on
+    a face of rank r it ends within r + 1 products.  Both moves follow the
+    projected search of More and Toraldo (SIAM J. Optim. 1991), reduced to
+    these two points.  No factorization is made, so a PSD Hessian of any
+    rank is handled the same way.
 
     Deterministic for fixed inputs.  The returned iterate satisfies the box
     bounds exactly.  Raises :class:`MaxIterationsExceeded` (carrying the best
@@ -254,73 +274,91 @@ def solve_box_qp(
 
     q, c = problem.q, problem.c
     lower, upper = problem.lower, problem.upper
-    pinned = lower == upper  # degenerate coordinates stay fixed throughout
+    maximum, minimum = np.maximum, np.minimum
     # trace(Q) >= ||Q||_2 for PSD Q, so round-off curvature falls below this
     flat_curvature = 1e-14 * float(q.trace())
 
+    def project(x):  # onto the box, in place
+        return minimum(maximum(x, lower, out=x), upper, out=x)
+
     def clamped_at(x, grad):
-        return pinned | ((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0))
+        # x is feasible, so it is clamped where it sits on the bound that -grad
+        # points past (the upper one when grad is 0); pinned entries always are.
+        return x == np.where(grad > 0, lower, upper)
 
-    def evaluate(x):  # (x, Qx, objective): one product serves f and the gradient
+    def evaluate(x):  # (x, gradient, objective): one product serves both
         qx = q @ x
-        return x, qx, float(0.5 * x @ qx + c @ x)
+        return x, qx + c, 0.5 * float(x @ qx) + float(c @ x)
 
-    x, qx, fx = evaluate(np.clip(np.zeros(n), lower, upper))
+    ratio = np.empty(n)
+
+    def room_along(y, p):  # largest t with y + t p in the box
+        bound = np.where(p > 0, upper, lower)
+        bound -= y
+        ratio.fill(math.inf)
+        return float(minimum.reduce(np.divide(bound, p, out=ratio, where=p != 0)))
+
+    x, grad, fx = evaluate(project(np.zeros(n)))
     best_x, best_kkt = x, np.inf
     cg_steps = polish_rejected = 0
 
     for iteration in range(1, max_iter + 1):
-        grad = qx + c
         kkt = _kkt_residual(problem, x, grad)
         if kkt < best_kkt:
             best_x, best_kkt = x, kkt
         if kkt <= tol:
             return QpSolution(x, fx, iteration - 1, kkt, cg_steps, polish_rejected)
 
-        direction = np.where(clamped_at(x, grad), 0.0, -grad)
+        direction = -grad
+        direction[clamped_at(x, grad)] = 0.0
         curvature = direction @ (q @ direction)
         if curvature > 0:
             step = (direction @ direction) / curvature
-            candidate = evaluate(np.clip(x + step * direction, lower, upper))
+            candidate = evaluate(project(x + step * direction))
             # Projection can break the exact-line-search guarantee; halve the
             # step until the move is a strict descent.
             while candidate[2] > fx and step > 1e-30:
                 step *= 0.5
-                candidate = evaluate(np.clip(x + step * direction, lower, upper))
+                candidate = evaluate(project(x + step * direction))
             if candidate[2] <= fx:
-                x, qx, fx = candidate
+                x, grad, fx = candidate
 
         # Polish: conjugate gradients on the free face, from x.
-        grad = qx + c
-        free = ~clamped_at(x, grad)
-        residual = np.where(free, -grad, 0.0)
+        clamped = clamped_at(x, grad)
+        residual = -grad
+        residual[clamped] = 0.0
         rr = float(residual @ residual)
-        rr_floor = (1e-14 * max(1.0, float(np.max(np.abs(grad))))) ** 2
-        y, p, moved = x.copy(), residual.copy(), False
-        for _ in range(int(np.count_nonzero(free))):
+        rr_floor = (1e-14 * max(1.0, float(maximum.reduce(np.abs(grad))))) ** 2
+        y, p, ends = x, residual, []
+        for _ in range(n - int(np.count_nonzero(clamped))):
             if rr <= rr_floor:
                 break
-            q_p = np.where(free, q @ p, 0.0)
+            q_p = q @ p
+            q_p[clamped] = 0.0
             cg_steps += 1
             p_curv = float(p @ q_p)
-            if p_curv <= flat_curvature * float(p @ p):
+            # f falls linearly along p on a flat face: no minimizer before a bound
+            step = rr / p_curv if p_curv > flat_curvature * float(p @ p) else math.inf
+            room = room_along(y, p)
+            if room < step:  # a bound cuts the step
+                ends = [y + room * p]
+                if step < math.inf:
+                    ends.append(y + step * p)
                 break
-            step = rr / p_curv
-            moving = p != 0
-            room = float(np.min((np.where(p > 0, upper, lower) - y)[moving] / p[moving]))
-            y += min(step, room) * p
-            moved = True
-            if room < step:
-                break  # stopped on the first bound the step meets
-            residual -= step * q_p
+            if step == math.inf:
+                break  # flat along p, and p meets no finite bound
+            y = y + step * p
+            ends = [y]
+            residual = residual - step * q_p
             rr, rr_old = float(residual @ residual), rr
             p = residual + (rr / rr_old) * p
-        if moved:
-            candidate = evaluate(np.clip(y, lower, upper))
-            if candidate[2] < fx:
-                x, qx, fx = candidate
-            else:
-                polish_rejected += 1
+        if ends:
+            lowered = False
+            for end in ends:
+                candidate = evaluate(project(end))
+                if candidate[2] < fx:
+                    (x, grad, fx), lowered = candidate, True
+            polish_rejected += not lowered
 
     grad = q @ best_x + c
     raise MaxIterationsExceeded(best_x, _kkt_residual(problem, best_x, grad))

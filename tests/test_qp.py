@@ -389,3 +389,100 @@ class TestBoxQpOracle:
             sol = solve_box_qp(problem)
             point = box_qp_oracle(problem, 1e-3)
             assert np.max(np.abs(sol.alpha - point)) <= 1e-3
+
+
+def random_low_rank_qp(rng, n, rank):
+    """Random box QP with a factored PSD Hessian of rank < n and finite
+    bounds; c has a component outside the range of Q, so the faces the
+    solver meets are singular along some directions."""
+    g = rng.normal(size=(n, rank))
+    g *= np.sqrt(10 ** rng.uniform(-2, 0) / np.linalg.norm(g, 2) ** 2)
+    lower = rng.uniform(-0.3, -0.05, n)
+    upper = rng.uniform(0.05, 0.3, n)
+    target = rng.uniform(1.6 * lower, 1.6 * upper)
+    c = -g @ (g.T @ target) + 0.01 * rng.normal(size=n)
+    return BoxQp(LowRankHessian(g, g.T), c, lower, upper)
+
+
+class TestFlatFaces:
+    """Faces on which Q is singular along the CG direction."""
+
+    def test_flat_polish_steps_to_the_bounds(self):
+        # Q = vv' with v = (1, 1, 1) and c orthogonal to v: from 0 both the
+        # gradient step and the CG direction -c are flat, and f falls
+        # linearly along -c until x reaches (-1, 1, 0), the minimizer.
+        v = np.ones((3, 1))
+        problem = BoxQp(LowRankHessian(v, v.T), [1.0, -1.0, 0.0], -np.ones(3), np.ones(3))
+        sol = solve_box_qp(problem)
+        np.testing.assert_array_equal(sol.alpha, [-1.0, 1.0, 0.0])
+        assert (sol.iterations, sol.cg_steps, sol.polish_rejected) == (1, 1, 0)
+        assert sol.kkt_residual == 0.0
+
+    def test_flat_polish_stops_at_the_first_bound(self):
+        # Rank 2 on 4 coordinates; the CG direction -c lies in the null
+        # space, and the first bound it meets is coordinate 0's lower one.
+        left = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        c = np.array([1.0, -1.0, 0.5, -0.5])
+        problem = BoxQp(LowRankHessian(left, left.T), c, [-0.25, -1, -1, -1], [1, 1, 1, 1])
+        sol = solve_box_qp(problem)
+        assert sol.kkt_residual <= 1e-8
+        assert sol.iterations <= 3
+        assert np.all(sol.alpha >= problem.lower) and np.all(sol.alpha <= problem.upper)
+        point = box_qp_oracle(problem, 2e-3)
+        assert sol.objective <= problem.objective(point) + 1e-4
+
+    def test_flat_direction_without_a_bound_is_reported(self):
+        # f is unbounded below along (1, -1): no finite bound ends the descent.
+        v = np.ones((2, 1))
+        problem = BoxQp(LowRankHessian(v, v.T), [-1.0, 1.0], [-np.inf] * 2, [np.inf] * 2)
+        with pytest.raises(MaxIterationsExceeded) as info:
+            solve_box_qp(problem)
+        assert np.all(np.isfinite(info.value.alpha))
+        assert np.isfinite(info.value.kkt_residual)
+
+    def test_random_low_rank_instances(self):
+        rng = np.random.default_rng(1991)
+        for rep in range(80):
+            n = 2 + rep % 3 if rep % 2 == 0 else int(rng.integers(5, 40))
+            problem = random_low_rank_qp(rng, n, int(rng.integers(1, n)))
+            sol = solve_box_qp(problem)
+            assert np.all(sol.alpha >= problem.lower)
+            assert np.all(sol.alpha <= problem.upper)
+            assert sol.kkt_residual <= 1e-8
+            if n <= 4:
+                point = box_qp_oracle(problem, 2e-3)
+                assert abs(sol.objective - problem.objective(point)) <= 1e-4
+
+
+class TestStallRegressions:
+    """Linear x^(2/3) duals have rank 2, so most of their faces are flat."""
+
+    def test_stalling_dual_converges_quickly(self):
+        # 52 iterations when a flat polish stopped without moving; 27 now.
+        sol = solve_box_qp(pow23_dual(12, 512.0, 512.0, "up"))
+        assert sol.kkt_residual <= 1e-8
+        assert sol.iterations <= 32
+
+    def test_iteration_budget_over_the_workload_grid(self):
+        # 208 duals: seeds 0-12 at the workload grid's p and ridge values,
+        # both sides.  2,469 iterations when a flat polish stopped without
+        # moving; 2,053 now.
+        total = 0
+        for seed in range(13):
+            for p in (8.0, 512.0):
+                for ridge in (2.0**-9, 2.0**-3, 2.0**3, 2.0**9):
+                    for side in ("down", "up"):
+                        sol = solve_box_qp(pow23_dual(seed, p, ridge, side))
+                        assert sol.kkt_residual <= 1e-8
+                        total += sol.iterations
+        assert total <= 2100
+
+
+def test_probe_vectors_are_cached_read_only():
+    u, v = qp_mod._probe_pair(6)
+    assert qp_mod._probe_pair(6)[0] is u
+    steps = np.arange(1, 7)
+    np.testing.assert_array_equal(u, np.sin(1.7 * steps))
+    np.testing.assert_array_equal(v, np.cos(2.3 * steps))
+    with pytest.raises(ValueError):
+        u[0] = 0.0
