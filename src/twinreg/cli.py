@@ -142,17 +142,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_gridsearch(args) -> int:
     ts = _load_training(args.data, args.schema)
     ds = data_mod.holdout(ts, args.seed, {"kind": "cli", "path": args.data})
-    if args.config:
-        grid = grid_spec_from(args.config)
+    grid = GridSpec(exponent_low=args.range[0], exponent_high=args.range[1],
+                    exponent_step=args.step, objective=args.objective)
+    base = HierarchyConfig()
+    if args.config:  # the file's keys override the flags
+        grid = grid_spec_from(args.config, grid)
         base = hierarchy_config_from(args.config)
-    else:
-        grid = GridSpec(
-            exponent_low=args.range[0],
-            exponent_high=args.range[1],
-            exponent_step=args.step,
-            objective=args.objective,
-        )
-        base = HierarchyConfig()
     params, report = grid_search(ds, args.model, grid, args.seed, hierarchy_base=base)
     best = {
         "regressor": args.model,
@@ -227,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--objective", choices=("nmse", "sse"), default="nmse")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="INI file overriding grid/hierarchy settings")
+    p.add_argument("--config", help="INI file whose [grid], [kernel] and [hierarchy] "
+                   "keys override the flags and defaults")
     p.add_argument("--out", help="save the retrained winner here")
     p.set_defaults(func=_cmd_gridsearch)
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import configparser
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 from .benchmark import SuiteSpec
@@ -111,10 +112,11 @@ def hierarchy_config_from(path: str | Path) -> HierarchyConfig:
     return _build(HierarchyConfig, **_keys(HierarchyConfig, section), base_params=base)
 
 
-def grid_spec_from(path: str | Path) -> GridSpec:
+def grid_spec_from(path: str | Path, base: GridSpec = GridSpec()) -> GridSpec:
+    """``base`` with the ``[grid]`` keys of the file and its kernel."""
     parser = _read(path)
     values = _keys(GridSpec, _section(parser, "grid"))
-    return _build(GridSpec, **values, kernel=kernel_from(parser))
+    return _build(partial(replace, base), **values, kernel=kernel_from(parser))
 
 
 def suite_from(path: str | Path) -> SuiteSpec:

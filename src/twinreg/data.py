@@ -86,6 +86,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.function not in SYNTHETIC_FUNCTIONS:
             raise ValueError(f"unknown function {self.function!r}")
+        for name in ("domain_low", "domain_high", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.domain_low < self.domain_high:
             raise ValueError("domain_low must be below domain_high")
         if self.noise_sigma < 0:

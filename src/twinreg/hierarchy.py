@@ -6,7 +6,8 @@ v fits the residual left by layers 1..v-1 with kernel scale
 After the first fit of each layer, points far from the epsilon tube are
 pruned and the layer is refit on the kept set with the loss weight scaled up
 by the kept fraction's inverse, which cuts support vectors without giving up
-accuracy.  The final prediction is the sum over layers.
+accuracy; both passes are one fit step on a set of rows.  The final
+prediction is the sum over layers.
 
 Every layer trains in the reduced eigenbasis of its kernel matrix (see
 :mod:`twinreg.tsvr`); the report row of each layer carries its
@@ -199,13 +200,24 @@ def second_pass_tradeoff(b_v: float, full_size: int, pruned_size: int) -> float:
     return b_v * full_size / pruned_size
 
 
-def _layer_params(config: HierarchyConfig, b: float, tau: float) -> TsvrParams:
+def _fit_pass(ts: TrainingSet, residual: NDArray[np.float64], kept: NDArray[np.intp],
+              config: HierarchyConfig, b: float, design: tsvr.Design,
+              ) -> tuple[TsvrModel, NDArray[np.float64], float]:
+    """One pass of a layer: fit ``residual`` on the rows ``kept`` of ``ts``
+    with loss weight b and ``design`` (of those rows, at the layer's scale).
+
+    Returns the model, the residual it leaves on all of ``ts``, and that
+    residual's variance.
+    """
     p3, p4 = config.regularization()
-    return TsvrParams(
+    params = TsvrParams(
         p1=b, p2=b, p3=p3, p4=p4,
         eps1=config.eps, eps2=config.eps,
-        kernel=KernelSpec("gaussian", tau),
+        kernel=design.kernel,
     )
+    model = tsvr.train(TrainingSet(ts.a[kept], residual[kept]), params, design=design)
+    after = residual - tsvr.predict(model, ts.a)
+    return model, after, float(np.var(after))
 
 
 def train_hierarchy(
@@ -219,7 +231,9 @@ def train_hierarchy(
     relative improvement drops below ``stop_rel_improvement``, when the
     residuals go constant, or at ``max_layers``.  A layer that fails to
     reduce the residual variance is discarded and training stops; kept
-    layers therefore strictly decrease the variance.
+    layers therefore strictly decrease the variance.  Constant targets other
+    than 0 raise :class:`ZeroVariance`, as no layer with loss weight
+    ``S * var = 0`` can fit them; all-zero targets give the empty model.
 
     ``designs`` maps tau to the first-pass design of ``ts.a`` at that scale;
     missing scales are built and added.  Share one dict only between calls
@@ -230,6 +244,8 @@ def train_hierarchy(
         designs = {}
     tau1 = config.tau1 if config.tau1 is not None else auto_tau1(ts)
     taus = scale_schedule(tau1, config.scale_divisor, config.max_layers)
+    if ts.y[0] != 0.0 and np.all(ts.y == ts.y[0]):
+        raise ZeroVariance("constant non-zero targets: every layer's loss weight is 0")
     var_y = float(np.var(ts.y))
     var_floor = (
         config.stop_residual_var
@@ -253,38 +269,29 @@ def train_hierarchy(
             break
 
         b_v = layer_tradeoff(residual, config.s_factor)
-        layer_ts = TrainingSet(ts.a, residual)
-        first_params = _layer_params(config, b_v, tau)
         t0 = time.perf_counter()
         design = designs.get(tau)
         if design is None:
-            design = designs[tau] = tsvr.make_design(layer_ts, first_params.kernel)
-        first_pass = tsvr.train(layer_ts, first_params, design=design)
-
-        model_v = first_pass
-        rank = design.rank
-        b_v_prime = b_v
+            design = designs[tau] = tsvr.make_design(ts, KernelSpec("gaussian", tau))
         pruned = np.arange(ts.m)
-        adopted = False
-        next_residual = residual - tsvr.predict(first_pass, ts.a)
-        var_out = float(np.var(next_residual))
+        first_pass, next_residual, var_out = _fit_pass(
+            ts, residual, pruned, config, b_v, design
+        )
+        model_v, rank, b_v_prime, adopted = first_pass, design.rank, b_v, False
         if config.pruning_enabled:
             pruned = prune_set(next_residual, config.eps, config.scale_divisor, tp)
             if 0 < pruned.size < ts.m:
                 b_v_prime = second_pass_tradeoff(b_v, ts.m, pruned.size)
-                kept_ts = layer_ts.subset(pruned)
-                second_params = _layer_params(config, b_v_prime, tau)
                 second_design = tsvr.subset_design(design, pruned)
-                second = tsvr.train(kept_ts, second_params, design=second_design)
+                second, second_residual, var_second = _fit_pass(
+                    ts, residual, pruned, config, b_v_prime, second_design
+                )
                 # The refit is a support-vector optimization, not a mandate:
                 # adopt it only while it retains a meaningful share of the
                 # first-pass improvement (a near-empty tube can select an
                 # unrepresentative subset whose refit memorizes a few points).
-                second_residual = residual - tsvr.predict(second, ts.a)
-                var_second = float(np.var(second_residual))
                 if var_in - var_second >= 0.25 * (var_in - var_out):
-                    model_v, adopted = second, True
-                    rank = second_design.rank
+                    model_v, rank, adopted = second, second_design.rank, True
                     next_residual, var_out = second_residual, var_second
         elapsed = time.perf_counter() - t0
 

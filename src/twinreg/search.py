@@ -11,6 +11,7 @@ exponents scaled by the target standard deviation, plus zero.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -129,29 +130,14 @@ def _score(y: np.ndarray, yhat: np.ndarray, objective: str) -> float:
 
 
 def _tsvr_cells(grid: GridSpec, y_std: float):
-    powers = grid.power_grid()
-    eps_values = grid.eps_grid(y_std)
-    p1_axis = powers
-    p2_axis = [None] if grid.tie_p1_p2 else powers
-    p3_axis = powers
-    p4_axis = [None] if grid.tie_p3_p4 else powers
-    e1_axis = eps_values
-    e2_axis = [None] if grid.tie_eps else eps_values
-    for p1 in p1_axis:
-        for p2 in p2_axis:
-            for p3 in p3_axis:
-                for p4 in p4_axis:
-                    for e1 in e1_axis:
-                        for e2 in e2_axis:
-                            yield TsvrParams(
-                                p1=p1,
-                                p2=p1 if p2 is None else p2,
-                                p3=p3,
-                                p4=p3 if p4 is None else p4,
-                                eps1=e1,
-                                eps2=e1 if e2 is None else e2,
-                                kernel=grid.kernel,
-                            )
+    """Every cell in key order.  Each pair (p1, p2), (p3, p4), (eps1, eps2)
+    has two axes, or one when tied; then its second member copies the first."""
+    powers, eps_values = grid.power_grid(), grid.eps_grid(y_std)
+    pairs = ((powers, grid.tie_p1_p2), (powers, grid.tie_p3_p4), (eps_values, grid.tie_eps))
+    axes = [axis for values, tied in pairs for axis in (values, [None] if tied else values)]
+    for cell in itertools.product(*axes):
+        values = (cell[i - 1] if v is None else v for i, v in enumerate(cell))
+        yield TsvrParams(*values, kernel=grid.kernel)
 
 
 def _tsvr_key(params: TsvrParams) -> tuple:
@@ -171,17 +157,14 @@ def _hierarchy_cells(grid: GridSpec, y_std: float, base: HierarchyConfig):
     eps_values = [
         2.0**k * y_std for k in range(eps_lo, 0, grid.exponent_step)
     ] or [0.5 * y_std]
-    for s in s_values:
-        for p3 in grid.power_grid():
-            for eps in eps_values:
-                template = TsvrParams(p3=p3, p4=p3)
-                yield replace(
-                    base,
-                    s_factor=s,
-                    eps=eps,
-                    tube_tolerance=None,
-                    base_params=template,
-                )
+    for s, p3, eps in itertools.product(s_values, grid.power_grid(), eps_values):
+        yield replace(
+            base,
+            s_factor=s,
+            eps=eps,
+            tube_tolerance=None,
+            base_params=TsvrParams(p3=p3, p4=p3),
+        )
 
 
 def _hierarchy_key(config: HierarchyConfig) -> tuple:

@@ -5,7 +5,9 @@ The estimator fits two proximal functions ``h1(x) = w1'x + b1`` and
 the weights through regularized normal equations, and predicts with the
 average ``h(x) = (h1(x) + h2(x)) / 2``.  The first QP penalizes points where
 h1 rises more than eps1 above the targets, the second penalizes h2 falling
-more than eps2 below them, so the pair brackets the data.
+more than eps2 below them, so the pair brackets the data.  The two sides
+differ only in c, the ridge, the bound and the sign of the multipliers'
+pull on the targets, so ``train`` runs one solve-and-recover path for each.
 
 Kernel mode replaces the raw inputs with a Gaussian kernel matrix
 ``K(x, z) = exp(-||x - z||^2 / tau^2)`` against the stored training basis.
@@ -313,11 +315,15 @@ def subset_design(design: Design, indices: NDArray[np.intp]) -> Design:
     return _factor_design(design.factor[indices], design.kernel)
 
 
-def _dual_hessian(j: NDArray[np.float64], ridge: float) -> LowRankHessian:
+def _dual_hessian(ts: TrainingSet, j: NDArray, ridge: float) -> LowRankHessian:
     """H = J (J'J + ridge I)^-1 J' as its factors J and X = (J'J + ridge I)^-1 J'.
 
-    X comes from one SPD solve, never an inverse; H itself is never formed.
+    J is the design of the rows of ``ts``.  X comes from one SPD solve, never
+    an inverse; H itself is never formed.
     """
+    j = np.asarray(j, dtype=float)
+    if j.shape[0] != ts.m:
+        raise ValueError("design matrix row count must equal sample count")
     m_small = j.T @ j + ridge * np.eye(j.shape[1])
     return LowRankHessian(j, solve_spd(m_small, j.T))
 
@@ -328,13 +334,9 @@ def assemble_dual_down(ts: TrainingSet, params: TsvrParams, j: NDArray) -> BoxQp
     ``min 1/2 a'Ha + c'a`` over ``[0, p1]`` with ``H = J(J'J + p3 I)^-1 J'``
     and ``c = eps1*1 + Y - H Y``; the negated maximization objective.
     """
-    j = np.asarray(j, dtype=float)
-    if j.shape[0] != ts.m:
-        raise ValueError("design matrix row count must equal sample count")
-    h = _dual_hessian(j, params.p3)
+    h = _dual_hessian(ts, j, params.p3)
     c = params.eps1 + ts.y - h @ ts.y
-    m = ts.m
-    return BoxQp(h, c, np.zeros(m), np.full(m, params.p1))
+    return BoxQp(h, c, np.zeros(ts.m), np.full(ts.m, params.p1))
 
 
 def assemble_dual_up(ts: TrainingSet, params: TsvrParams, j: NDArray) -> BoxQp:
@@ -343,13 +345,9 @@ def assemble_dual_up(ts: TrainingSet, params: TsvrParams, j: NDArray) -> BoxQp:
     ``min 1/2 g'Hg + c'g`` over ``[0, p2]`` with ``H = J(J'J + p4 I)^-1 J'``
     and ``c = H Y - Y + eps2*1``.
     """
-    j = np.asarray(j, dtype=float)
-    if j.shape[0] != ts.m:
-        raise ValueError("design matrix row count must equal sample count")
-    h = _dual_hessian(j, params.p4)
+    h = _dual_hessian(ts, j, params.p4)
     c = h @ ts.y - ts.y + params.eps2
-    m = ts.m
-    return BoxQp(h, c, np.zeros(m), np.full(m, params.p2))
+    return BoxQp(h, c, np.zeros(ts.m), np.full(ts.m, params.p2))
 
 
 QpSolver = Callable[[BoxQp], QpSolution]
@@ -375,39 +373,31 @@ def train(
         raise ValueError("design was built for other inputs or another kernel")
     j = design.matrix
 
-    sol_down = solver(assemble_dual_down(ts, params, j))
-    sol_up = solver(assemble_dual_up(ts, params, j))
-    alpha, gamma = sol_down.alpha, sol_up.alpha
-
+    # Each side solves its dual and recovers v = (J'J + ridge I)^-1 J'(Y - sign
+    # * multipliers): alpha pulls h1 below the targets, gamma pulls h2 above.
+    # v ends in the bias; its weights map back to the basis in kernel mode.
     eye = np.eye(j.shape[1])
-    v1 = solve_spd(j.T @ j + params.p3 * eye, j.T @ (ts.y - alpha))
-    v2 = solve_spd(j.T @ j + params.p4 * eye, j.T @ (ts.y + gamma))
-
-    xi_star = ts.y - j @ v1
-    eta_star = j @ v2 - ts.y
+    sides = []
+    for assemble, ridge, sign in (
+        (assemble_dual_down, params.p3, 1.0),
+        (assemble_dual_up, params.p4, -1.0),
+    ):
+        sol = solver(assemble(ts, params, j))
+        v = solve_spd(j.T @ j + ridge * eye, j.T @ (ts.y - sign * sol.alpha))
+        w = v[:-1] if design.to_basis is None else design.to_basis @ v[:-1]
+        sides.append((sol, w, float(v[-1]), float(np.linalg.norm(ts.y - j @ v))))
+    (down, w1, b1, xi_star_norm), (up, w2, b2, eta_star_norm) = sides
     diagnostics = TsvrDiagnostics(
-        alpha=alpha,
-        gamma=gamma,
-        xi_star_norm=float(np.linalg.norm(xi_star)),
-        eta_star_norm=float(np.linalg.norm(eta_star)),
-        dual_objective_down=sol_down.objective,
-        dual_objective_up=sol_up.objective,
-        qp_iterations_down=sol_down.iterations,
-        qp_iterations_up=sol_up.iterations,
+        alpha=down.alpha, gamma=up.alpha,
+        xi_star_norm=xi_star_norm, eta_star_norm=eta_star_norm,
+        dual_objective_down=down.objective, dual_objective_up=up.objective,
+        qp_iterations_down=down.iterations, qp_iterations_up=up.iterations,
     )
-    w1, w2 = v1[:-1], v2[:-1]
-    basis = None
-    if design.to_basis is not None:
-        w1, w2 = design.to_basis @ w1, design.to_basis @ w2
-        basis = ts.a.copy()
     return TsvrModel(
-        w1=w1,
-        b1=float(v1[-1]),
-        w2=w2,
-        b2=float(v2[-1]),
+        w1=w1, b1=b1, w2=w2, b2=b2,
         kernel=params.kernel,
         params=params,
-        basis=basis,
+        basis=None if design.to_basis is None else ts.a.copy(),
         input_dim=ts.d,
         diagnostics=diagnostics,
     )

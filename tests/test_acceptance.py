@@ -226,6 +226,18 @@ def test_criterion_6_sinc_benchmark(sinc_runs):
            f"all {N_SEEDS} seeds, {elapsed:.0f}s")
 
 
+def test_sinc_selected_cell_and_nmse_do_not_move(sinc_runs):
+    params, runs, _ = sinc_runs
+    p3, _ = params.regularization()
+    cell = (params.s_factor, p3, params.eps)
+    assert cell == pytest.approx((0.5, 128.0, 0.04556067202259404), rel=1e-12)
+    nmse = [
+        metrics(ds.test.y, hier_mod.predict_hierarchy(model, ds.test.a)).nmse
+        for ds, model, _ in runs
+    ]
+    assert float(np.mean(nmse)) == pytest.approx(0.020496856622843306, rel=1e-9)
+
+
 def test_criterion_7_pruning_quality(sinc_runs):
     _, runs, _ = sinc_runs
     two_pass, one_pass = [], []

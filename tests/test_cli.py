@@ -169,6 +169,29 @@ class TestGridsearch:
         assert len(summary["best_key"]) == key_length
 
 
+    def test_config_without_grid_keeps_the_flags(self, dataset_files, tmp_path,
+                                                 capsys):
+        config = tmp_path / "hierarchy.ini"
+        config.write_text("[hierarchy]\nmax_layers = 2\n")
+        assert run(
+            ["gridsearch", "--model", "tsvr", "--data", f"{dataset_files}_train.csv",
+             "--range", "0", "0", "--config", str(config)]
+        ) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cells_evaluated"] == 1  # p1 = p3 = 1, eps = 0
+
+    def test_config_grid_keys_override_the_flags(self, dataset_files, tmp_path,
+                                                 capsys):
+        config = tmp_path / "grid.ini"
+        config.write_text("[grid]\nexponent_high = 1\n")
+        assert run(
+            ["gridsearch", "--model", "tsvr", "--data", f"{dataset_files}_train.csv",
+             "--range", "0", "0", "--step", "1", "--config", str(config)]
+        ) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cells_evaluated"] + summary["cells_failed"] == 2 * 2 * 1
+
+
 class TestBenchmark:
     def test_suite_run(self, tmp_path, capsys):
         outdir = tmp_path / "results"
@@ -255,6 +278,16 @@ class TestExitCodes:
              "--out", str(tmp_path / "m.json")]
         )
         assert code == EXIT_TRAINING
+
+    def test_constant_non_zero_targets_hierarchy_is_training_failure(self, tmp_path,
+                                                                     capsys):
+        data = tmp_path / "level.csv"
+        data.write_text("x1,y\n" + "".join(f"{i}.0,2.0\n" for i in range(10)))
+        out = tmp_path / "m.json"
+        code = run(["train", "--model", "hftsvr", "--data", str(data), "--out", str(out)])
+        assert code == EXIT_TRAINING
+        assert "training failure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_row_hierarchy_is_training_failure(self, tmp_path, capsys):
         # one point has zero extent, so the automatic first scale is degenerate

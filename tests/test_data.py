@@ -87,6 +87,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SyntheticSpec("sinc", 1, -1, 0.1, 10, 10, 0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", math.nan), ("noise_sigma", math.inf),
+        ("domain_low", -math.inf), ("domain_high", math.inf), ("domain_low", math.nan),
+    ])
+    def test_spec_rejects_non_finite_values(self, field, value):
+        values = {"domain_low": -3.0, "domain_high": 3.0, "noise_sigma": 0.1}
+        values[field] = value
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec("sinc", n_train=10, n_test=10, seed=0, **values)
+
 
 class TestSplit:
     def test_holdout_takes_a_quarter_for_test(self):

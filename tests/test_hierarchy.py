@@ -132,6 +132,14 @@ class TestTrainHierarchy:
             predict_hierarchy(model, np.zeros((5, 1))), np.zeros(5)
         )
 
+    @pytest.mark.parametrize("value", [2.0, 0.1, -1.0])
+    def test_constant_non_zero_targets_raise_zero_variance(self, value):
+        # Every layer's loss weight S * var(Y) is 0, so an empty model
+        # predicting 0 would be all a fit could give.
+        ts = TrainingSet(np.linspace(-1, 1, 10)[:, None], np.full(10, value))
+        with pytest.raises(ZeroVariance):
+            train_hierarchy(ts, HierarchyConfig())
+
     def test_single_layer_no_pruning_equals_plain_kernel_model(self):
         ds = small_sinc_dataset()
         config = HierarchyConfig(max_layers=1, pruning_enabled=False, eps=0.1)

@@ -279,3 +279,31 @@ class TestFitPredict:
         assert model.support_vector_count() == sum(
             layer.model.support_vector_count() for layer in direct.layers
         )
+
+
+# The cells grid_search selects on x^(2/3) for base seeds 1-12 with the
+# paper's exponent range at every sixth exponent, as (p1 = p2, p3 = p4,
+# eps1 = eps2).  A refactor of the fit must not move them.
+POW23_POOL_CELLS = {
+    1: (8.0, 0.125, 0.0),
+    2: (0.125, 2.0**-9, 0.0),
+    3: (512.0, 2.0**-9, 0.0),
+    4: (8.0, 8.0, 0.06075398955814011),
+    5: (8.0, 8.0, 0.058996218389485676),
+    6: (8.0, 8.0, 0.0),
+    7: (0.125, 2.0**-9, 0.05998122376479698),
+    8: (8.0, 2.0**-9, 0.06019600822148871),
+    9: (2.0**-9, 8.0, 0.0),
+    10: (2.0**-9, 8.0, 0.0568127543498287),
+    11: (2.0**-9, 8.0, 0.0),
+    12: (8.0, 2.0**-9, 0.05735060140491416),
+}
+
+
+@pytest.mark.parametrize("seed, cell", POW23_POOL_CELLS.items())
+def test_pow23_pool_cells_do_not_move(seed, cell):
+    ds = data_mod.generate(data_mod.power_two_thirds_spec(seed))
+    _, report = grid_search(ds, "tsvr", GridSpec(exponent_step=6), seed)
+    p, p3, eps = cell
+    expected = (p, p, p3, p3, eps, eps)
+    assert tuple(report.best_cell["key"]) == pytest.approx(expected, rel=1e-12)
