@@ -39,13 +39,6 @@ _SYNTHETIC_SPECS = {
     "sinc": data_mod.sinc_spec,
 }
 
-REGRESSOR_LABELS = {
-    "hftsvr": "eps-HFTSVR",
-    "ftsvr": "eps-FTSVR",
-    "tsvr": "eps-TSVR",
-}
-
-
 @dataclass(frozen=True)
 class SuiteSpec:
     """What to run: datasets by name, regressors, seed plan, grid settings."""
@@ -74,7 +67,7 @@ class PairResult:
 
     dataset: str
     regressor: str
-    chosen: dict
+    chosen_parameters: dict
     per_seed: list[MetricsReport]
     mean: dict
     std: dict | None
@@ -151,6 +144,11 @@ def _aggregate(reports: list[MetricsReport]) -> tuple[dict, dict | None]:
     return mean, (std if len(reports) > 1 else None)
 
 
+def _failure(dataset: str, kind: str, stage: str, exc: Exception) -> dict:
+    return {"dataset": dataset, "regressor": kind, "stage": stage,
+            "error": f"{type(exc).__name__}: {exc}"}
+
+
 def run_benchmark(suite: SuiteSpec) -> BenchmarkResult:
     """Execute the suite; partial results carry failure annotations."""
     rows: list[PairResult] = []
@@ -159,16 +157,12 @@ def run_benchmark(suite: SuiteSpec) -> BenchmarkResult:
         ds0 = _dataset_for(dataset_name, suite.base_seed, suite)
         for kind in suite.regressors:
             try:
-                params, tuning = grid_search(
+                params, _ = grid_search(
                     ds0, kind, suite.grid, suite.base_seed,
                     hierarchy_base=suite.hierarchy_base,
                 )
             except TRAINING_ERRORS as exc:  # annotate and continue
-                failures.append(
-                    {"dataset": dataset_name, "regressor": kind,
-                     "stage": "grid_search",
-                     "error": f"{type(exc).__name__}: {exc}"}
-                )
+                failures.append(_failure(dataset_name, kind, "grid_search", exc))
                 continue
             reports: list[MetricsReport] = []
             last_model = None
@@ -178,11 +172,7 @@ def run_benchmark(suite: SuiteSpec) -> BenchmarkResult:
                 try:
                     report, model = _train_and_eval(params, ds_k)
                 except TRAINING_ERRORS as exc:
-                    failures.append(
-                        {"dataset": dataset_name, "regressor": kind,
-                         "stage": f"seed_{k}",
-                         "error": f"{type(exc).__name__}: {exc}"}
-                    )
+                    failures.append(_failure(dataset_name, kind, f"seed_{k}", exc))
                     continue
                 reports.append(report)
                 last_model, last_ds = model, ds_k
@@ -193,7 +183,7 @@ def run_benchmark(suite: SuiteSpec) -> BenchmarkResult:
                 PairResult(
                     dataset=dataset_name,
                     regressor=kind,
-                    chosen=_chosen_payload(params),
+                    chosen_parameters=_chosen_payload(params),
                     per_seed=reports,
                     mean=mean,
                     std=std,
@@ -251,7 +241,7 @@ def format_table(result: BenchmarkResult) -> str:
         std = row.std or {}
         lines.append(
             f"{row.dataset:<18}"
-            f"{REGRESSOR_LABELS.get(row.regressor, row.regressor):<12}"
+            f"{REGRESSOR_KINDS[row.regressor]:<12}"
             f"{_fmt_pm(row.mean['sse'], std.get('sse'))}"
             f"{_fmt_pm(row.mean['nmse'], std.get('nmse'))}"
             f"{_fmt_pm(row.mean['r2'], std.get('r2'))}"
@@ -264,22 +254,7 @@ def format_table(result: BenchmarkResult) -> str:
 
 
 def result_payload(result: BenchmarkResult) -> dict:
-    return {
-        "metric_definitions": METRIC_DEFINITIONS,
-        "fingerprint": result.fingerprint,
-        "failures": result.failures,
-        "rows": [
-            {
-                "dataset": row.dataset,
-                "regressor": row.regressor,
-                "chosen_parameters": row.chosen,
-                "mean": row.mean,
-                "std": row.std,
-                "per_seed": [asdict(r) for r in row.per_seed],
-            }
-            for row in result.rows
-        ],
-    }
+    return {"metric_definitions": METRIC_DEFINITIONS, **asdict(result)}
 
 
 def write_reports(result: BenchmarkResult, outdir: str) -> None:

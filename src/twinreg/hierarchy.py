@@ -24,6 +24,7 @@ memory is O(m p) end to end, p the largest rank of a layer's factor.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -86,6 +87,10 @@ class HierarchyConfig:
             raise ValueError("scale_divisor must be finite")
         if self.scale_divisor < 2:
             raise InvalidDivisor("scale divisor must be >= 2")
+        try:  # the finest scale divides by scale_divisor ** (max_layers - 1)
+            math.pow(self.scale_divisor, self.max_layers - 1)
+        except OverflowError:
+            raise ValueError("scale_divisor ** (max_layers - 1) overflows") from None
         if not (0 < self.s_factor <= 5):
             raise ValueError("s_factor must lie in (0, 5]")
         if not 0 <= self.eps < np.inf:

@@ -193,9 +193,9 @@ def _probe_symmetric(q: LowRankHessian) -> None:
     u_left, v_left = u @ q.left, v @ q.left
     right_u, right_v = q.right @ u, q.right @ v
     asym = abs(float(u_left @ right_v) - float(v_left @ right_u))
-    # Cauchy-Schwarz bounds each term by the product of its factor norms.
-    ul, vl, ru, rv = (math.sqrt(float(a @ a)) for a in (u_left, v_left, right_u, right_v))
-    scale = ul * rv + vl * ru
+    # |a|.|b| bounds each term, and unlike the norms' squares it cannot
+    # underflow while the terms themselves do not.
+    scale = float(np.abs(u_left) @ np.abs(right_v) + np.abs(v_left) @ np.abs(right_u))
     if asym > 1e-8 * scale:
         raise ValueError(f"factored matrix is not symmetric (probe asymmetry {asym:.3e})")
 

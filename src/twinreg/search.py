@@ -25,7 +25,8 @@ from .metrics import ZeroVarianceTargets, metrics
 from .qp import MaxIterationsExceeded, NotPositiveDefinite
 from .tsvr import KernelSpec, TrainingSet, TsvrModel, TsvrParams
 
-REGRESSOR_KINDS = ("tsvr", "ftsvr", "hftsvr")
+# The regressor kinds and their table labels.
+REGRESSOR_KINDS = {"tsvr": "eps-TSVR", "ftsvr": "eps-FTSVR", "hftsvr": "eps-HFTSVR"}
 
 # Scores this close (relative to the best) tie: cells that fit the same model
 # differ only by round-off, which must not overrule the smallest-key rule.
@@ -74,6 +75,9 @@ class GridSpec:
     def __post_init__(self):
         if self.exponent_low > self.exponent_high:
             raise ValueError("empty exponent range")
+        if not (-1074 <= self.exponent_low and self.exponent_high <= 1023):
+            raise ValueError("exponents must lie in [-1074, 1023], where 2**k is a "
+                             "positive finite float")
         if self.exponent_step < 1:
             raise ValueError("exponent_step must be >= 1")
         if self.objective not in ("nmse", "sse"):
@@ -130,21 +134,19 @@ def _score(y: np.ndarray, yhat: np.ndarray, objective: str) -> float:
 
 
 def _tsvr_cells(grid: GridSpec, y_std: float):
-    """Every cell in key order.  Each pair (p1, p2), (p3, p4), (eps1, eps2)
+    """Every ``(key, params)`` cell in key order, the key being
+    (p1, p2, p3, p4, eps1, eps2).  Each pair (p1, p2), (p3, p4), (eps1, eps2)
     has two axes, or one when tied; then its second member copies the first."""
     powers, eps_values = grid.power_grid(), grid.eps_grid(y_std)
     pairs = ((powers, grid.tie_p1_p2), (powers, grid.tie_p3_p4), (eps_values, grid.tie_eps))
     axes = [axis for values, tied in pairs for axis in (values, [None] if tied else values)]
     for cell in itertools.product(*axes):
-        values = (cell[i - 1] if v is None else v for i, v in enumerate(cell))
-        yield TsvrParams(*values, kernel=grid.kernel)
-
-
-def _tsvr_key(params: TsvrParams) -> tuple:
-    return (params.p1, params.p2, params.p3, params.p4, params.eps1, params.eps2)
+        key = tuple(cell[i - 1] if v is None else v for i, v in enumerate(cell))
+        yield key, TsvrParams(*key, kernel=grid.kernel)
 
 
 def _hierarchy_cells(grid: GridSpec, y_std: float, base: HierarchyConfig):
+    """Every ``(key, config)`` cell in key order, the key being (S, p3, eps)."""
     # Narrower than the exhaustive per-layer search, by design: S ranges over
     # the order-one part of its admissible interval (0, 5] (far smaller S
     # turns the tube loss off and degenerates the pruning pass), the scale
@@ -157,19 +159,10 @@ def _hierarchy_cells(grid: GridSpec, y_std: float, base: HierarchyConfig):
     eps_values = [
         2.0**k * y_std for k in range(eps_lo, 0, grid.exponent_step)
     ] or [0.5 * y_std]
-    for s, p3, eps in itertools.product(s_values, grid.power_grid(), eps_values):
-        yield replace(
-            base,
-            s_factor=s,
-            eps=eps,
-            tube_tolerance=None,
-            base_params=TsvrParams(p3=p3, p4=p3),
-        )
-
-
-def _hierarchy_key(config: HierarchyConfig) -> tuple:
-    p3, _ = config.regularization()
-    return (config.s_factor, p3, config.eps)
+    for key in itertools.product(s_values, grid.power_grid(), eps_values):
+        s, p3, eps = key
+        yield key, replace(base, s_factor=s, eps=eps, tube_tolerance=None,
+                           base_params=TsvrParams(p3=p3, p4=p3))
 
 
 def grid_search(
@@ -194,20 +187,16 @@ def grid_search(
     y_std = float(np.std(train.y))
 
     if regressor_kind == "hftsvr":
-        base = hierarchy_base or HierarchyConfig()
-        candidates = list(_hierarchy_cells(grid, y_std, base))
-        key_of = _hierarchy_key
+        cells = _hierarchy_cells(grid, y_std, hierarchy_base or HierarchyConfig())
     else:
-        candidates = list(_tsvr_cells(grid, y_std))
-        key_of = _tsvr_key
+        cells = _tsvr_cells(grid, y_std)
     # Every hierarchy cell fits fit_set.a at the same scales, so each layer's
     # first-pass design is factored once and shared by all cells.
     designs: dict = {}
 
     failures: list[dict] = []
     scored = []  # (key, score, candidate)
-    for candidate in candidates:
-        key = key_of(candidate)
+    for key, candidate in cells:
         try:
             model = fit(fit_set, candidate, designs)
             score = _score(tune_set.y, predict(model, tune_set.a), grid.objective)

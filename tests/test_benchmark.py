@@ -14,6 +14,7 @@ from twinreg.benchmark import (
     run_benchmark,
 )
 from twinreg.hierarchy import HierarchyConfig
+from twinreg.metrics import METRIC_DEFINITIONS
 from twinreg.qp import MaxIterationsExceeded, NotPositiveDefinite
 from twinreg.search import GridSpec
 from twinreg.tsvr import TrainingSet
@@ -147,8 +148,29 @@ class TestSuite:
     def test_hierarchy_row_includes_chosen_parameters(self):
         suite = tiny_suite(regressors=("hftsvr",), n_seeds=1)
         result = run_benchmark(suite)
-        chosen = result.rows[0].chosen
+        chosen = result.rows[0].chosen_parameters
         assert {"s_factor", "p3", "eps", "tau1"} <= set(chosen)
+
+    def test_result_payload_layout(self):
+        result = run_benchmark(tiny_suite(regressors=("tsvr", "hftsvr"), n_seeds=2))
+        payload = result_payload(result)
+        assert set(payload) == {"metric_definitions", "fingerprint", "failures", "rows"}
+        assert payload["metric_definitions"] == METRIC_DEFINITIONS
+        assert [row["regressor"] for row in payload["rows"]] == ["tsvr", "hftsvr"]
+        metric_keys = {"sse", "nmse", "r2", "mape", "train_seconds", "sv_count"}
+        for row in payload["rows"]:
+            assert set(row) == {
+                "dataset", "regressor", "chosen_parameters", "mean", "std", "per_seed",
+            }
+            assert set(row["mean"]) == set(row["std"]) == metric_keys
+            assert [set(r) for r in row["per_seed"]] == [metric_keys] * 2
+        tsvr_row, hftsvr_row = payload["rows"]
+        assert set(tsvr_row["chosen_parameters"]) == {
+            "p1", "p2", "p3", "p4", "eps1", "eps2", "kernel", "tau",
+        }
+        assert set(hftsvr_row["chosen_parameters"]) == {
+            "s_factor", "p3", "p4", "eps", "tau1", "scale_divisor", "max_layers",
+        }
 
     def test_qualitative_ordering_full_pipeline(self):
         # the hierarchy must dominate the linear twin regressor on the curved

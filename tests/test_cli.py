@@ -191,6 +191,23 @@ class TestGridsearch:
         summary = json.loads(capsys.readouterr().out)
         assert summary["cells_evaluated"] + summary["cells_failed"] == 2 * 2 * 1
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--range", "0", "1100", "--step", "1100"], None, "twinreg: error: "),
+        ([], "[grid]\nexponent_high = 1100\n", "twinreg: config error: "),
+        ([], "[hierarchy]\nscale_divisor = 1e200\n", "twinreg: config error: "),
+        ([], "[hierarchy]\nmax_layers = 5000\n", "twinreg: config error: "),
+    ])
+    def test_overflowing_exponent_or_scale_is_usage_error(self, dataset_files, tmp_path,
+                                                          capsys, flags, config, message):
+        argv = ["gridsearch", "--model", "hftsvr", "--data", f"{dataset_files}_train.csv"]
+        if config is not None:
+            path = tmp_path / "overflow.ini"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        assert run(argv + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
 
 class TestBenchmark:
     def test_suite_run(self, tmp_path, capsys):
@@ -269,8 +286,7 @@ class TestExitCodes:
         ) == EXIT_DATA
 
     def test_training_failure(self, tmp_path):
-        # constant targets: the hierarchy stops with zero layers, which is a
-        # usable model, so force a failure through a degenerate domain instead
+        # the inputs have zero extent, so no first scale can be derived
         data = tmp_path / "flat.csv"
         data.write_text("x1,y\n" + "\n".join("1.0,2.0" for _ in range(5)) + "\n")
         code = run(

@@ -149,6 +149,8 @@ class TestHierarchy:
         "[hierarchy]\nstop_residual_var = nan\n",
         "[hierarchy]\nstop_rel_improvement = inf\n",
         "[hierarchy]\np3 = inf\n",
+        "[hierarchy]\nscale_divisor = 1e200\n",  # divisor ** (max_layers - 1) overflows
+        "[hierarchy]\nmax_layers = 5000\n",
     ])
     def test_bad_values(self, ini, text):
         with pytest.raises(ConfigError):
@@ -186,6 +188,8 @@ class TestGrid:
         "[grid]\ntuning_fraction = 0\n",
         "[grid]\ntuning_fraction = 1\n",
         "[grid]\ntuning_fraction = 1.5\n",
+        "[grid]\nexponent_high = 1100\n",  # 2**1100 overflows
+        "[grid]\nexponent_low = -1100\n",  # 2**-1100 is 0
     ])
     def test_bad_values(self, ini, text):
         with pytest.raises(ConfigError):

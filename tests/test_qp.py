@@ -285,7 +285,9 @@ class TestLowRankHessian:
             assert abs(a.objective - b.objective) <= 1e-10
 
     @pytest.mark.parametrize(
-        "broken", ["nan-left", "infinite-right", "mismatched-shapes", "asymmetric-pair"]
+        "broken",
+        ["nan-left", "infinite-right", "mismatched-shapes", "asymmetric-pair",
+         "asymmetric-pair-scaled"],
     )
     def test_rejected_at_construction(self, broken):
         rng = np.random.default_rng(10)
@@ -299,10 +301,16 @@ class TestLowRankHessian:
             x[1, 7] = np.inf
         elif broken == "mismatched-shapes":
             x = x[:, :-1]
-        else:
-            x = rng.normal(size=x.shape)
+        else:  # scaled by 2^-600, the squares of the probe products underflow
+            x = rng.normal(size=x.shape) * (1.0 if broken == "asymmetric-pair" else 2.0**-600)
         with pytest.raises(ValueError):
             BoxQp(LowRankHessian(j, x), c, lower, upper)
+
+    @pytest.mark.parametrize("assemble", ["down", "up"])
+    def test_huge_ridge_dual_is_accepted(self, assemble):
+        # at p = 2^900 the right factor (J'J + pI)^-1 J' is near 2^-900
+        problem = pow23_dual(47, 2.0**900, 2.0**900, assemble)
+        assert problem.dim == 200 and np.all(problem.upper == 2.0**900)
 
 
 class TestSolveBoxQpOnPsdDuals:

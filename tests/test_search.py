@@ -25,6 +25,16 @@ def noisy_sinc(seed=0):
     return data_mod.generate(data_mod.sinc_spec(seed=seed, n_train=60, n_test=40))
 
 
+def tsvr_key(params):
+    """The grid key of a tsvr cell: its six searched values."""
+    return (params.p1, params.p2, params.p3, params.p4, params.eps1, params.eps2)
+
+
+def hierarchy_key(config):
+    """The grid key of a hierarchy cell: (S, p3, eps)."""
+    return (config.s_factor, config.regularization()[0], config.eps)
+
+
 class TestGridSpec:
     def test_power_grid(self):
         grid = GridSpec(exponent_low=-2, exponent_high=2)
@@ -46,6 +56,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(objective="rmse")
 
+    def test_exponents_where_two_to_the_k_is_a_positive_finite_float(self):
+        assert GridSpec(exponent_low=-1074, exponent_high=1023).power_grid()[-1] == 2.0**1023
+        for low, high in ((-1075, 0), (0, 1024)):
+            with pytest.raises(ValueError, match="positive finite"):
+                GridSpec(exponent_low=low, exponent_high=high)
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2, float("nan")])
     def test_tuning_fraction_outside_unit_interval_rejected(self, fraction):
         with pytest.raises(ValueError, match="tuning_fraction"):
@@ -57,9 +73,9 @@ class TestGridSpec:
 
         grid = GridSpec(exponent_low=3, exponent_high=5)
         cells = list(search_mod._hierarchy_cells(grid, 2.0, HierarchyConfig()))
-        assert [search_mod._hierarchy_key(c) for c in cells] == [
-            (1.0, 8.0, 1.0), (1.0, 16.0, 1.0), (1.0, 32.0, 1.0)
-        ]
+        expected = [(1.0, 8.0, 1.0), (1.0, 16.0, 1.0), (1.0, 32.0, 1.0)]
+        assert [key for key, _ in cells] == expected
+        assert [hierarchy_key(c) for _, c in cells] == expected
 
 
 class TestGridSearch:
@@ -105,11 +121,11 @@ class TestGridSearch:
                 "larger": (4.0, 4.0, 4.0, 4.0, 0.0, 0.0)}
         scores = {keys["smallest"]: 1.0, keys["larger"]: lower}
         monkeypatch.setattr(search_mod, "fit", lambda ts, params, designs=None: params)
-        monkeypatch.setattr(search_mod, "predict", lambda model, x: search_mod._tsvr_key(model))
+        monkeypatch.setattr(search_mod, "predict", lambda model, x: tsvr_key(model))
         monkeypatch.setattr(search_mod, "_score", lambda y, key, objective: scores.get(key, 2.0))
         grid = GridSpec(exponent_low=0, exponent_high=2)
         params, report = grid_search(line_dataset(), "tsvr", grid, seed=0)
-        assert search_mod._tsvr_key(params) == keys[winner]
+        assert tsvr_key(params) == keys[winner]
         assert report.best_cell["key"] == keys[winner]
 
     def test_deterministic_given_seed(self):
@@ -172,17 +188,18 @@ class TestGridSearch:
         tune_set, fit_set = data_mod.split(ds.train, grid.tuning_fraction, 0)
         y_std = float(np.std(ds.train.y))
         cells = []
-        for cfg in search_mod._hierarchy_cells(grid, y_std, base):
+        for key, cfg in search_mod._hierarchy_cells(grid, y_std, base):
+            assert key == hierarchy_key(cfg)
             model = train_hierarchy(fit_set, cfg)
             score = search_mod._score(
                 tune_set.y, predict_hierarchy(model, tune_set.a), grid.objective
             )
-            cells.append({"key": search_mod._hierarchy_key(cfg), "score": score})
+            cells.append({"key": hierarchy_key(cfg), "score": score})
         assert report.failures == []
         assert report.cells == cells
         winner = min(cells, key=lambda c: (c["score"], c["key"]))
         assert report.best_cell == winner
-        assert search_mod._hierarchy_key(best) == winner["key"]
+        assert hierarchy_key(best) == winner["key"]
         refit = train_hierarchy(ds.train, best)
         np.testing.assert_array_equal(
             predict_hierarchy(report.final_model, ds.test.a),
