@@ -26,7 +26,7 @@ from .config import (
     tsvr_params_from,
 )
 from .fuzzy import defuzzify_set
-from .hierarchy import HierarchyConfig
+from .hierarchy import HierarchyConfig, NonFiniteVariance
 from .metrics import LengthMismatch, ZeroVarianceTargets, metrics
 from .search import (
     REGRESSOR_KINDS,
@@ -48,6 +48,7 @@ _DATA_ERRORS = (
     DimensionMismatch,
     LengthMismatch,
     ZeroVarianceTargets,
+    NonFiniteVariance,
     model_io.ModelIOError,
     model_io.SchemaVersionMismatch,
     model_io.CorruptModel,

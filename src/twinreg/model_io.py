@@ -109,8 +109,8 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _canonical(payload, allow_nan: bool = True) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
 
 
 def _checksum(payload: dict) -> str:
@@ -126,10 +126,17 @@ _SIGNED_HEAD = re.compile(
 
 
 def save_model(model: TsvrModel | HfTsvrModel, path: str | Path) -> None:
+    """Write ``model`` to ``path``; a model holding NaN or an infinity is
+    refused with :class:`ModelIOError` before the file is opened, since JSON
+    has no such numbers."""
     kind = next((k for k, cls in _KINDS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    payload = _canonical(_encode(model))
+    try:
+        payload = _canonical(_encode(model), allow_nan=False)
+    except ValueError as exc:
+        raise ModelIOError(f"cannot write {path}: the model holds a non-finite "
+                           f"value ({exc})") from exc
     text = (
         f'{{"format_version": {FORMAT_VERSION}, "kind": "{kind}", '
         f'"checksum": "{_sha256(payload)}", "payload": {payload}}}'

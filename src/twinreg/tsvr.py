@@ -25,6 +25,10 @@ L; it depends only on the inputs and the kernel, so callers that fit the
 same inputs many times (the hierarchy's first pass across a grid search)
 build it once.  A fit on a subset S of those inputs takes its design from the
 kept rows of the factor, since ``K_SS ~ L_S L_S'`` (:func:`subset_design`).
+The factor reproduces the kernel rows of its p pivots P exactly, so a model
+over a basis S can be stored over P instead: ``K(x, S) w ~ K(x, P) beta``
+with ``beta = L_P^-T (L_S' w)``, the Nystrom form (:func:`on_pivots`).
+``train`` keeps the whole basis; the hierarchy stores its layers this way.
 
 Each dual Hessian ``H = J (J'J + rho I)^-1 J'`` has rank at most r + 1, and
 reaches the QP as its two thin factors, J and ``X = (J'J + rho I)^-1 J'``
@@ -42,7 +46,7 @@ the number of points, and no path builds the whole query x basis matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -150,8 +154,12 @@ class TsvrDiagnostics:
 class TsvrModel:
     """Fitted twin regressor.
 
-    ``w1``/``w2`` have length d in linear mode and length m (coefficients
-    over ``basis``) in kernel mode.  Immutable; safe to share across threads.
+    ``w1``/``w2`` have length d in linear mode and ``len(basis)``
+    (coefficients over ``basis``) in kernel mode.  ``basis`` holds the m
+    training inputs, or the pivots of their kernel factor for a model
+    re-expressed by :func:`on_pivots`; the dual vectors in ``diagnostics``
+    stay over the m training rows either way.  Immutable; safe to share
+    across threads.
     """
 
     w1: NDArray[np.float64]
@@ -179,10 +187,8 @@ class TsvrModel:
         if self.w1.shape != (width,) or self.w2.shape != (width,):
             raise ValueError(f"weights do not have length {width}")
         alpha, gamma = self.diagnostics.alpha, self.diagnostics.gamma
-        if alpha.ndim != 1 or alpha.shape != gamma.shape:
-            raise ValueError("alpha and gamma must be vectors of equal length")
-        if self.basis is not None and len(alpha) != width:
-            raise ValueError(f"alpha and gamma do not have length {width}")
+        if alpha.ndim != 1 or alpha.shape != gamma.shape or alpha.size == 0:
+            raise ValueError("alpha and gamma must be non-empty vectors of equal length")
 
     def support_vector_count(self) -> int:
         """Points whose down- or up-multiplier exceeds 1e-6 of its bound."""
@@ -226,41 +232,51 @@ class Design:
     """The design ``train`` solves with, and the map back to model weights.
 
     ``matrix`` ends in the bias column.  In linear mode it is ``[A | 1]`` and
-    ``to_basis`` and ``factor`` are None.  In kernel mode it is
-    ``[Q_r Lambda_r | 1]``, the basis coefficients are ``to_basis @ w~`` with
-    ``to_basis = Q_r``, and ``factor`` is the m x p pivoted Cholesky factor
-    L with ``K ~ L L'`` that the eigenpairs came from.  ``rank`` is the
-    number of weight columns: d, or the r kept eigenpairs.
+    the other arrays are None.  In kernel mode it is ``[Q_r Lambda_r | 1]``,
+    the basis coefficients are ``to_basis @ w~`` with ``to_basis = Q_r``, and
+    ``factor`` is the m x p pivoted Cholesky factor L with ``K ~ L L'`` that
+    the eigenpairs came from.  ``pivot_points`` are the p inputs the factor
+    pivoted on and ``pivot_factor`` is L_P, the factor's p x p rows at those
+    pivots; a subset's design keeps both from the design it came from.
+    ``rank`` is the number of weight columns: d, or the r kept eigenpairs.
     """
 
     matrix: NDArray[np.float64]
     to_basis: NDArray[np.float64] | None
     kernel: KernelSpec
     factor: NDArray[np.float64] | None = None
+    pivot_points: NDArray[np.float64] | None = None
+    pivot_factor: NDArray[np.float64] | None = None
 
     @property
     def rank(self) -> int:
         return self.matrix.shape[1] - 1
 
 
-def _pivoted_cholesky(a: NDArray[np.float64], tau: float) -> NDArray[np.float64]:
-    """Factor L (m x p) with ``K(a, a) ~ L L'``, never forming K.
+def _pivoted_cholesky(
+    a: NDArray[np.float64], tau: float
+) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
+    """Factor L (m x p) with ``K(a, a) ~ L L'``, never forming K, and the
+    indices of its p pivots in the order they were taken.
 
     Each step takes the point with the largest residual diagonal as pivot,
     computes its kernel row and subtracts the earlier columns' share of it;
     it stops once no residual diagonal exceeds ``m * eps`` (K's diagonal is
     1).  The rows live in a buffer that doubles as the rank grows, so memory
-    is O(m p); the factor is copied out of it.
+    is O(m p); the factor is copied out of it.  It reproduces the pivots'
+    kernel rows up to round-off, ``K(a_P, a) = L_P L'``.
     """
     m = a.shape[0]
     residual = np.ones(m)
     rows = np.empty((min(m, 32), m))
     tol = m * np.finfo(float).eps
+    pivots = []
     p = 0
     while p < m:
         pivot = int(np.argmax(residual))
         if residual[pivot] <= tol:
             break
+        pivots.append(pivot)
         if p == rows.shape[0]:
             rows = np.concatenate([rows, np.empty((min(p, m - p), m))])
         row = gaussian_kernel(a[pivot : pivot + 1], a, tau)[0]
@@ -269,17 +285,23 @@ def _pivoted_cholesky(a: NDArray[np.float64], tau: float) -> NDArray[np.float64]
         rows[p] = row
         residual -= row * row
         p += 1
-    return rows[:p].T.copy()
+    return rows[:p].T.copy(), np.array(pivots, dtype=np.intp)
 
 
-def _factor_design(factor: NDArray[np.float64], kernel: KernelSpec) -> Design:
+def _factor_design(
+    factor: NDArray[np.float64],
+    kernel: KernelSpec,
+    pivot_points: NDArray[np.float64],
+    pivot_factor: NDArray[np.float64],
+) -> Design:
     """The reduced design of ``K ~ F F'`` for an m x p factor F.
 
     The eigenpairs of ``F F'`` come from the smaller of its two Grams.  For a
     tall F, ``F'F = V Lambda V'`` gives ``Q = F V Lambda^-1/2``, and one
     Cholesky QR pass, largest eigenvalue first, restores the orthonormality
     that Q loses on small eigenvalues without tilting the accurate columns.
-    Eigenpairs at or below ``lambda_max * m * eps`` are dropped.
+    Eigenpairs at or below ``lambda_max * m * eps`` are dropped.  The pivots
+    are passed through to the design.
     """
     m, p = factor.shape
     tall = m > p
@@ -289,7 +311,8 @@ def _factor_design(factor: NDArray[np.float64], kernel: KernelSpec) -> Design:
     if tall:
         q = factor @ (q / np.sqrt(lam))
         q = np.linalg.solve(np.linalg.cholesky(q.T @ q), q.T).T
-    return Design(np.hstack([q * lam, np.ones((m, 1))]), q, kernel, factor)
+    return Design(np.hstack([q * lam, np.ones((m, 1))]), q, kernel, factor,
+                  pivot_points, pivot_factor)
 
 
 def make_design(ts: TrainingSet, kernel: KernelSpec) -> Design:
@@ -301,7 +324,8 @@ def make_design(ts: TrainingSet, kernel: KernelSpec) -> Design:
     """
     if kernel.kind == "linear":
         return Design(build_design(ts, kernel), None, kernel)
-    return _factor_design(_pivoted_cholesky(ts.a, kernel.tau), kernel)
+    factor, pivots = _pivoted_cholesky(ts.a, kernel.tau)
+    return _factor_design(factor, kernel, ts.a[pivots], factor[pivots])
 
 
 def subset_design(design: Design, indices: NDArray[np.intp]) -> Design:
@@ -310,9 +334,11 @@ def subset_design(design: Design, indices: NDArray[np.intp]) -> Design:
 
     It reuses the factor, since ``K_SS ~ L_S L_S'``: no kernel matrix is
     built, and for more kept points than the factor has columns no
-    eigendecomposition of size |S| is taken either.
+    eigendecomposition of size |S| is taken either.  It keeps the pivots of
+    ``design``, which need not be among the kept rows.
     """
-    return _factor_design(design.factor[indices], design.kernel)
+    return _factor_design(design.factor[indices], design.kernel,
+                          design.pivot_points, design.pivot_factor)
 
 
 def _dual_hessian(ts: TrainingSet, j: NDArray, ridge: float) -> LowRankHessian:
@@ -401,6 +427,26 @@ def train(
         input_dim=ts.d,
         diagnostics=diagnostics,
     )
+
+
+def on_pivots(model: TsvrModel, design: Design) -> TsvrModel:
+    """``model``, trained with the kernel ``design``, re-expressed on the
+    design's pivots P in place of its basis S.
+
+    The factor reproduces the pivot rows exactly, so ``K(x, S) w ~ K(x, P)
+    beta`` with ``beta = L_P^-T (L_S' w)`` (the Nystrom form; Williams and
+    Seeger, NIPS 2001).  On the factored inputs it is exact up to the
+    factor's round-off; away from them it differs by the Nystrom remainder.
+    The dual vectors stay over the training rows.  A model whose basis has
+    no more rows than the factor has columns, or a design without pivots,
+    is returned unchanged.
+    """
+    if design.pivot_factor is None or len(design.pivot_factor) >= len(model.basis):
+        return model
+    w = np.column_stack([model.w1, model.w2])
+    beta = np.linalg.solve(design.pivot_factor.T, design.factor.T @ w)
+    return replace(model, basis=design.pivot_points,
+                   w1=beta[:, 0].copy(), w2=beta[:, 1].copy())
 
 
 def query_rows(x: NDArray, input_dim: int) -> tuple[NDArray[np.float64], bool]:

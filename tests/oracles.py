@@ -4,6 +4,8 @@
 - :func:`predict_components` and :func:`slack_down`: the two proximal
   functions of a twin regressor and the down problem's slack, computed in one
   unblocked pass (the KKT tests need them; prediction only needs their mean).
+- :func:`count_kernel_entries`: a tally of the kernel entries the library
+  builds, for the tests of its complexity contracts.
 """
 
 import numpy as np
@@ -93,3 +95,21 @@ def slack_down(model: tsvr.TsvrModel, ts: tsvr.TrainingSet) -> NDArray[np.float6
     """Recovered inequality slack of the down problem: max(0, -r - eps1)."""
     h1, _ = predict_components(model, ts.a)
     return np.maximum(0.0, -(ts.y - h1) - model.params.eps1)
+
+
+def count_kernel_entries(monkeypatch) -> list[int]:
+    """Tally the entries every :func:`twinreg.tsvr.gaussian_kernel` call builds.
+
+    Returns a one-element list that grows until ``monkeypatch`` undoes the
+    patch, so one test can read its count after each step it measures.
+    """
+    tally = [0]
+    real = tsvr.gaussian_kernel
+
+    def counted(x, z, tau):
+        k = real(x, z, tau)
+        tally[0] += k.size
+        return k
+
+    monkeypatch.setattr(tsvr, "gaussian_kernel", counted)
+    return tally

@@ -305,6 +305,29 @@ class TestExitCodes:
         assert "training failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_target_variance_hierarchy_is_data_error(self, tmp_path,
+                                                                 capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("x1,y\n2.9e-216,-7.5e92\n7.8e-197,3.4e38\n6.35,1e300\n")
+        out = tmp_path / "m.json"
+        code = run(["train", "--model", "hftsvr", "--data", str(data), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "target variance" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_model_with_non_finite_value_is_not_written(self, tmp_path, capsys):
+        # the residual norm of the fit overflows, so the model holds an infinity
+        data = tmp_path / "spike.csv"
+        data.write_text("x1,y\n" + "0,0\n" * 4 + "0,1.6678e168\n")
+        out = tmp_path / "m.json"
+        with np.errstate(all="ignore"):
+            code = run(["train", "--model", "tsvr", "--data", str(data), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_row_hierarchy_is_training_failure(self, tmp_path, capsys):
         # one point has zero extent, so the automatic first scale is degenerate
         data = tmp_path / "one.csv"

@@ -1,6 +1,7 @@
 """Tests for the multi-scale residual hierarchy."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from twinreg.hierarchy import (
     EmptyPrunedSet,
     HierarchyConfig,
     InvalidDivisor,
+    NonFiniteVariance,
     ZeroVariance,
     auto_tau1,
     layer_tradeoff,
@@ -22,7 +24,10 @@ from twinreg.hierarchy import (
     second_pass_tradeoff,
     train_hierarchy,
 )
+from twinreg.model_io import load_model, save_model
 from twinreg.tsvr import DimensionMismatch, KernelSpec, TrainingSet, TsvrParams
+
+from oracles import count_kernel_entries
 
 
 def small_sinc_dataset(seed=0, n_train=60):
@@ -150,10 +155,16 @@ class TestTrainHierarchy:
             p1=layer.b_v, p2=layer.b_v, p3=0.1, p4=0.1,
             eps1=0.1, eps2=0.1, kernel=KernelSpec("gaussian", layer.tau),
         )
-        direct = tsvr.train(ds.train, params)
+        design = tsvr.make_design(ds.train, params.kernel)
+        direct = tsvr.train(ds.train, params, design=design)
+        # The layer is the plain model re-expressed on its factor's pivots.
         np.testing.assert_array_equal(
             np.asarray(predict_hierarchy(model, ds.test.a)),
-            np.asarray(tsvr.predict(direct, ds.test.a)),
+            np.asarray(tsvr.predict(tsvr.on_pivots(direct, design), ds.test.a)),
+        )
+        np.testing.assert_allclose(
+            np.asarray(predict_hierarchy(model, ds.test.a)),
+            np.asarray(tsvr.predict(direct, ds.test.a)), rtol=0, atol=1e-12,
         )
 
     def test_prediction_is_sum_of_layer_predictions(self):
@@ -301,6 +312,65 @@ class TestTrainHierarchy:
         np.testing.assert_allclose(
             predict_hierarchy(model, x), predict_hierarchy(oracle, x), rtol=0, atol=1e-10
         )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pivot_layers_match_full_basis_layers(self, seed, monkeypatch, tmp_path):
+        ts = data_mod.generate(data_mod.sinc_spec(seed)).train
+        config = HierarchyConfig(max_layers=6, eps=0.1)
+        model = train_hierarchy(ts, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(tsvr, "on_pivots", lambda layer_model, design: layer_model)
+            full = train_hierarchy(ts, config)
+
+        def rows(m):
+            return [{k: v for k, v in row.items() if k not in ("basis_size", "train_seconds")}
+                    for row in m.training_report["layers"]]
+
+        assert rows(model) == rows(full)
+        for layer, whole, row in zip(model.layers, full.layers,
+                                     model.training_report["layers"]):
+            assert row["basis_size"] == len(layer.model.basis) <= len(whole.model.basis)
+        x = np.linspace(-4 * math.pi, 4 * math.pi, 4001)[:, None]
+        served = predict_hierarchy(model, x)
+        gap = np.max(np.abs(served - predict_hierarchy(full, x)))
+        assert gap <= 1e-10 * (1 + np.max(np.abs(ts.y)))
+        save_model(model, tmp_path / "model.json")
+        np.testing.assert_array_equal(
+            predict_hierarchy(load_model(tmp_path / "model.json"), x), served
+        )
+
+    @pytest.mark.parametrize("m", [1000, 4000])
+    def test_kernel_entries_per_fit_are_linear_in_m(self, m, monkeypatch):
+        # Each layer factors its kernel matrix from p rows of m entries and
+        # takes its residuals from the factor, so a fit builds about
+        # m * sum(p) entries; one kernel row per training point would be m^2.
+        ts = data_mod.generate(data_mod.sinc_spec(0, n_train=m, n_test=2)).train
+        entries = count_kernel_entries(monkeypatch)
+        model = train_hierarchy(ts, HierarchyConfig(max_layers=6, eps=0.1))
+        ranks = sum(row["design_rank"] for row in model.training_report["layers"])
+        assert 0 < entries[0] <= 2 * m * ranks
+
+    def test_layer_designs_are_freed_without_a_shared_dict(self, monkeypatch):
+        made, alive = [], []
+        real = tsvr.make_design
+
+        def make_design(ts, kernel):
+            alive.append(sum(ref() is not None for ref in made))
+            design = real(ts, kernel)
+            made.append(weakref.ref(design))
+            return design
+
+        monkeypatch.setattr(tsvr, "make_design", make_design)
+        model = train_hierarchy(small_sinc_dataset(seed=13).train,
+                                HierarchyConfig(max_layers=4))
+        assert len(model.layers) == len(made) == 4
+        assert alive == [0, 0, 0, 0]
+        assert all(ref() is None for ref in made)
+
+    def test_overflowing_target_variance_is_rejected(self):
+        ts = TrainingSet([[2.9e-216], [7.8e-197], [6.35]], [-7.5e92, 3.4e38, 1e300])
+        with pytest.raises(NonFiniteVariance):
+            train_hierarchy(ts, HierarchyConfig())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, bad):

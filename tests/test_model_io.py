@@ -200,6 +200,26 @@ class TestFailureModes:
         with pytest.raises(ModelIOError):
             load_model(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_model_is_refused_before_writing(self, tmp_path, value):
+        from dataclasses import replace
+
+        path = tmp_path / "model.json"
+        with pytest.raises(ModelIOError, match="non-finite"):
+            save_model(replace(kernel_model(), b1=value), path)
+        assert not path.exists()
+
+    def test_record_with_non_finite_value_still_loads(self, tmp_path):
+        # Only writing refuses NaN and infinities; an older file holding one
+        # loads as it always did.
+        path = tmp_path / "old.json"
+        save_model(linear_model(), path)
+        record = json.loads(path.read_text())
+        record["payload"]["diagnostics"]["xi_star_norm"] = float("inf")
+        record["checksum"] = _checksum(record["payload"])
+        path.write_text(json.dumps(record))
+        assert load_model(path).diagnostics.xi_star_norm == float("inf")
+
     def test_unserializable_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             save_model(object(), tmp_path / "x.json")

@@ -499,6 +499,41 @@ class TestPivotedFactor:
                                   make_design(sub, params.kernel).matrix)
             assert_hessians_agree(sub, params, reduced.matrix, build_design(sub, params.kernel))
 
+    @pytest.mark.parametrize("tau", SINC_TAUS)
+    def test_pivots_reproduce_their_kernel_rows(self, tau):
+        design = make_design(SINC, KernelSpec("gaussian", tau))
+        p = design.factor.shape[1]
+        assert design.pivot_points.shape == (p, 1) and design.pivot_factor.shape == (p, p)
+        k = gaussian_kernel(design.pivot_points, SINC.a, tau)
+        np.testing.assert_allclose(design.pivot_factor @ design.factor.T, k,
+                                   rtol=0, atol=1e-12)
+        sub = subset_design(design, np.arange(0, SINC.m, 3))
+        assert sub.pivot_points is design.pivot_points
+        assert sub.pivot_factor is design.pivot_factor
+
+    @pytest.mark.parametrize("tau", SINC_TAUS)
+    def test_model_on_pivots_predicts_as_on_its_basis(self, tau):
+        params = TsvrParams(1.0, 1.0, 0.1, 0.1, 0.1, 0.1, KernelSpec("gaussian", tau))
+        design = make_design(SINC, params.kernel)
+        model = train(SINC, params, design=design)
+        reduced = tsvr.on_pivots(model, design)
+        assert len(reduced.basis) == design.factor.shape[1] < SINC.m
+        assert reduced.diagnostics is model.diagnostics
+        x = np.linspace(-4 * np.pi, 4 * np.pi, 1001)[:, None]
+        full = predict(model, x)
+        gap = np.max(np.abs(predict(reduced, x) - full))
+        assert gap <= 1e-10 * (1 + np.max(np.abs(full)))
+
+    def test_on_pivots_never_grows_a_basis(self):
+        ts = TrainingSet(np.arange(30.0)[:, None], np.sin(np.arange(30.0)))
+        params = TsvrParams(1.0, 1.0, 0.1, 0.1, kernel=KernelSpec("gaussian", 1e-3))
+        design = make_design(ts, params.kernel)
+        model = train(ts, params, design=design)
+        assert tsvr.on_pivots(model, design) is model
+        linear = TsvrParams(1.0, 1.0, 0.1, 0.1)
+        model = train(ts, linear)
+        assert tsvr.on_pivots(model, make_design(ts, linear.kernel)) is model
+
     def test_single_point(self):
         design = make_design(TrainingSet([[0.3]], [1.0]), KernelSpec("gaussian", 1.0))
         np.testing.assert_array_equal(design.factor, [[1.0]])
@@ -607,7 +642,7 @@ class TestValidation:
                                        "w2": np.ones(0)}),
             "alpha_short": (gaussian, {"diagnostics": replace(diag, alpha=diag.alpha[:2])}),
             "gamma_short": (gaussian, {"diagnostics": replace(
-                diag, alpha=diag.alpha[:2], gamma=diag.gamma[:2])}),
+                diag, alpha=diag.alpha[:0], gamma=diag.gamma[:0])}),
         }
         model, fields = changes[fault]
         with pytest.raises(ValueError):
