@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -26,7 +27,7 @@ from .config import (
     tsvr_params_from,
 )
 from .fuzzy import defuzzify_set
-from .hierarchy import HierarchyConfig, NonFiniteVariance
+from .hierarchy import HierarchyConfig
 from .metrics import LengthMismatch, ZeroVarianceTargets, metrics
 from .search import (
     REGRESSOR_KINDS,
@@ -36,7 +37,7 @@ from .search import (
     grid_search,
     predict,
 )
-from .tsvr import DimensionMismatch, TsvrParams
+from .tsvr import DimensionMismatch, NonFiniteVariance, TsvrParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,9 +129,11 @@ def _cmd_evaluate(args) -> int:
     model = model_io.load_model(args.model_file)
     ts = _load_training(args.data, args.schema)
     yhat = np.atleast_1d(predict(model, ts.a))
-    report = metrics(ts.y, yhat)
-    payload = asdict(report)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        payload = asdict(metrics(ts.y, yhat))
+    if not all(math.isfinite(v) for v in payload.values() if v is not None):
+        raise data_mod.DataError(f"{args.data}: the metrics overflow a float")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

@@ -43,7 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import tsvr
-from .tsvr import KernelSpec, TrainingSet, TsvrModel, TsvrParams
+from .tsvr import KernelSpec, NonFiniteVariance, TrainingSet, TsvrModel, TsvrParams
 
 
 class InvalidDivisor(Exception):
@@ -60,10 +60,6 @@ class ZeroVariance(Exception):
 
 class EmptyPrunedSet(Exception):
     """Second-pass trade-off is undefined for an empty kept set."""
-
-
-class NonFiniteVariance(Exception):
-    """The targets' variance overflows, so no layer's loss weight is finite."""
 
 
 @dataclass(frozen=True)

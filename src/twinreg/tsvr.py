@@ -63,6 +63,11 @@ class DimensionMismatch(Exception):
     """Query point dimension does not match the trained model."""
 
 
+class NonFiniteVariance(Exception):
+    """The targets overflow a float: their squared norm in a twin regressor's
+    fit, or their variance, which scales a hierarchy layer's loss weight."""
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     """Crisp regression data: inputs ``a`` (m x d) and targets ``y`` (m,)."""
@@ -387,11 +392,15 @@ def train(
 ) -> TsvrModel:
     """Fit both proximal functions and return the averaged regressor.
 
-    ``qp_solver`` may be swapped out (tests drive training through the grid
+    ``qp_solver`` may be swapped out (tests drive training through an exact
     oracle); it receives each assembled :class:`~twinreg.qp.BoxQp` and must
     return a :class:`~twinreg.qp.QpSolution`.  ``design`` is
     ``make_design(ts, params.kernel)`` when the caller already holds it.
+    Targets whose squared norm overflows raise :class:`NonFiniteVariance`.
     """
+    with np.errstate(over="ignore"):
+        if not math.isfinite(ts.y @ ts.y):
+            raise NonFiniteVariance("the targets' squared norm overflows a float")
     solver = qp_solver or solve_box_qp
     if design is None:
         design = make_design(ts, params.kernel)

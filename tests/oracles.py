@@ -1,12 +1,15 @@
 """Reference computations the tests check the library against.
 
-- :func:`box_qp_oracle`: a brute-force grid minimizer for small box QPs.
+- :func:`box_qp_oracle`: the exact minimizer of a small box QP, found by
+  solving the stationarity system on each of its faces.
 - :func:`predict_components` and :func:`slack_down`: the two proximal
   functions of a twin regressor and the down problem's slack, computed in one
   unblocked pass (the KKT tests need them; prediction only needs their mean).
 - :func:`count_kernel_entries`: a tally of the kernel entries the library
   builds, for the tests of its complexity contracts.
 """
+
+import itertools
 
 import numpy as np
 from numpy.typing import NDArray
@@ -16,69 +19,50 @@ from twinreg.qp import BoxQp
 
 
 class DimensionTooLarge(Exception):
-    """The exhaustive grid oracle only handles dimension <= 5."""
+    """The exhaustive face oracle only handles dimension <= 5."""
 
 
-# Points per axis for the oracle grids, by dimension.  Chosen so a full
-# product grid stays a few hundred thousand evaluations per pass.
-_ORACLE_AXIS_POINTS = {1: 4097, 2: 257, 3: 49, 4: 21, 5: 13}
+def box_qp_oracle(problem: BoxQp) -> NDArray[np.float64]:
+    """Exact minimizer of a small box QP by enumerating its faces; test oracle only.
 
+    A face fixes each coordinate outside a free set F at its lower or upper
+    bound.  Among the minimizers of a convex box QP, one with the most
+    coordinates at bounds has a nonsingular Q_FF (a null vector of Q_FF is
+    one of the PSD Q, and moving along it keeps a minimizer until another
+    coordinate meets a bound), so it solves
 
-def _grid_best(q: NDArray, c: NDArray, lo: NDArray, hi: NDArray, points: int):
-    axes = [np.linspace(lo[j], hi[j], points) for j in range(c.size)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = 0.5 * np.sum((pts @ q) * pts, axis=1) + pts @ c
-    best = int(np.argmin(vals))
-    return pts, vals, best
+        Q_FF x_F = -(c_F + Q_FB x_B)
 
-
-def box_qp_oracle(problem: BoxQp, grid_step: float = 1e-3) -> NDArray[np.float64]:
-    """Exhaustive grid minimizer for small box QPs; test oracle only.
-
-    Evaluates the objective on a full product grid over the box, then runs
-    two refinement passes, each re-gridding the bounding box of every grid
-    point whose value is within the provable optimality gap of the best
-    (expanded by one spacing, so the true minimizer cannot escape the
-    window).  Returns a feasible point whose objective is within
-    ``O(grid_step**2)`` of optimal, with a constant proportional to the
-    largest eigenvalue of Q.  Restricted to dimension <= 5.
+    on its face.  The oracle solves that system on every face whose Q_FF has
+    full rank, batched over the bound assignments of each F, and returns the
+    feasible solution with the lowest objective: 3**n faces, 243 at n = 5.
+    Raises :class:`DimensionTooLarge` above dimension 5 and ``ValueError``
+    on an infinite bound.
     """
     n = problem.dim
     if n > 5:
         raise DimensionTooLarge(f"oracle supports dimension <= 5, got {n}")
-    if n == 0:
-        return np.zeros(0)
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-
+    lower, upper, c = problem.lower, problem.upper, problem.c
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValueError("the face oracle needs finite bounds")
     q = np.asarray(problem.q)
-    lam_max = float(np.max(np.linalg.eigvalsh(q)))
-    lo = problem.lower.copy()
-    hi = problem.upper.copy()
-    best_point = None
-    best_value = np.inf
-
-    for _ in range(3):  # initial grid + two refinement passes
-        width = float(np.max(hi - lo))
-        points = _ORACLE_AXIS_POINTS[n]
-        if width > 0:
-            needed = int(np.ceil(width / grid_step)) + 1
-            points = min(points, max(needed, 2))
-        pts, vals, idx = _grid_best(q, problem.c, lo, hi, points)
-        if vals[idx] < best_value:
-            best_value = float(vals[idx])
-            best_point = pts[idx].copy()
-        spacing = width / (points - 1) if points > 1 else 0.0
-        if spacing <= 0:
-            break
-        # Any grid point nearest the true minimizer is within this gap of the
-        # best sampled value; keep them all and shrink to their bounding box.
-        gap = 0.5 * lam_max * (0.5 * spacing * np.sqrt(n)) ** 2
-        keep = pts[vals <= vals[idx] + gap]
-        lo = np.maximum(problem.lower, keep.min(axis=0) - spacing)
-        hi = np.minimum(problem.upper, keep.max(axis=0) + spacing)
-
+    best_point, best_value = None, np.inf
+    for free in itertools.product((False, True), repeat=n):
+        f, b = np.flatnonzero(free), np.flatnonzero(np.logical_not(free))
+        points = np.empty((2 ** b.size, n))
+        points[:, b] = list(itertools.product(*zip(lower[b], upper[b])))
+        if f.size:
+            q_ff = q[np.ix_(f, f)]
+            if np.linalg.matrix_rank(q_ff) < f.size:
+                continue
+            rhs = -(c[f] + points[:, b] @ q[np.ix_(b, f)])
+            points[:, f] = np.linalg.solve(q_ff, rhs.T).T
+        points = points[np.all((points >= lower) & (points <= upper), axis=1)]
+        if len(points):
+            values = 0.5 * np.sum((points @ q) * points, axis=1) + points @ c
+            k = int(np.argmin(values))
+            if values[k] < best_value:
+                best_point, best_value = points[k], float(values[k])
     return best_point
 
 

@@ -62,7 +62,7 @@ def test_criterion_1_qp_oracle_equivalence():
     for rep in range(100):
         problem = random_spd_qp(rng, dims[rep % 5], max_cond=1e4)
         sol = solve_box_qp(problem)
-        point = box_qp_oracle(problem, 2e-3)
+        point = box_qp_oracle(problem)
         worst = max(worst, abs(sol.objective - problem.objective(point)))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-4, f"objective gap {worst:.3e} exceeds 1e-4"

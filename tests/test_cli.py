@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -318,14 +319,35 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_model_with_non_finite_value_is_not_written(self, tmp_path, capsys):
-        # the residual norm of the fit overflows, so the model holds an infinity
+        # the fit's residual norm would overflow, so the fit is refused first
         data = tmp_path / "spike.csv"
         data.write_text("x1,y\n" + "0,0\n" * 4 + "0,1.6678e168\n")
         out = tmp_path / "m.json"
         with np.errstate(all="ignore"):
             code = run(["train", "--model", "tsvr", "--data", str(data), "--out", str(out)])
         assert code == EXIT_DATA
-        assert "non-finite value" in capsys.readouterr().err
+        assert "squared norm overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["0,0\n1,0\n2,0\n3,1e200\n", "0,0\n" * 4 + "0,1.6678e168\n"],
+        ids=["qp-overflow", "slack-overflow"],
+    )
+    def test_overflowing_target_norm_tsvr_is_one_data_error(self, tmp_path, capsys,
+                                                            rows):
+        data = tmp_path / "spike.csv"
+        data.write_text("x1,y\n" + rows)
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "--model", "tsvr", "--data", str(data), "--out", str(out)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and caught == []
+        assert captured.err == (
+            "twinreg: data error: the targets' squared norm overflows a float\n"
+        )
         assert not out.exists()
 
     def test_single_row_hierarchy_is_training_failure(self, tmp_path, capsys):
@@ -476,6 +498,22 @@ class TestExitCodes:
         assert captured.out == ""
         if line is not None:
             assert f"row {line}" in captured.err
+
+    def test_overflowing_metrics_are_one_data_error(self, line_model, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("x1,y\n2.9e-216,-7.5e92\n7.8e-197,3.4e38\n6.35,1e300\n")
+        out = tmp_path / "metrics.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["evaluate", "--model-file", str(line_model), "--data", str(data),
+                        "--out", str(out)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and caught == []
+        assert captured.err == (
+            f"twinreg: data error: {data}: the metrics overflow a float\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("point", ["nan", "inf"])
     def test_non_finite_point_is_usage_error(self, line_model, capsys, point):

@@ -28,8 +28,8 @@ from oracles import box_qp_oracle, predict_components, slack_down
 
 
 def oracle_solver(problem):
-    """Drive training through the brute-force grid oracle."""
-    alpha = box_qp_oracle(problem, 5e-4)
+    """Drive training through the exact face-enumeration oracle."""
+    alpha = box_qp_oracle(problem)
     return QpSolution(alpha, problem.objective(alpha), 0, float("nan"))
 
 
