@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -245,7 +246,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout early, as `head` does
+        with open(os.devnull, "w") as devnull:  # so exit's flush writes nowhere
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         print(f"twinreg: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,9 @@ After the first fit of each layer, points far from the epsilon tube are
 pruned and the layer is refit on the kept set with the loss weight scaled up
 by the kept fraction's inverse, which cuts support vectors without giving up
 accuracy; both passes are one fit step on a set of rows.  The final
-prediction is the sum over layers.
+prediction is the sum over layers.  Values are checked where outside input
+enters (``twinreg.__all__``, the CLI, INI and model files), here by
+:class:`HierarchyConfig`, so the layer rules are bare formulas.
 
 Every layer trains in the reduced eigenbasis of its kernel matrix (see
 :mod:`twinreg.tsvr`); the report row of each layer carries its
@@ -55,11 +57,7 @@ class DegenerateDomain(Exception):
 
 
 class ZeroVariance(Exception):
-    """Residuals are constant; there is nothing left to fit."""
-
-
-class EmptyPrunedSet(Exception):
-    """Second-pass trade-off is undefined for an empty kept set."""
+    """Targets are constant and non-zero; every layer's loss weight is 0."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ class HierarchyConfig:
     def resolved_tube_tolerance(self) -> float:
         if self.tube_tolerance is not None:
             return self.tube_tolerance
-        return 0.1 * self.eps if self.eps > 0 else 1e-8
+        return 0.1 * self.eps or 1e-8  # also where 0.1 * eps underflows to 0
 
 
 @dataclass(frozen=True)
@@ -158,12 +156,6 @@ class HfTsvrModel:
 
 def scale_schedule(tau1: float, n: float, v: int) -> list[float]:
     """Geometric scale sequence ``[tau1, tau1/n, ..., tau1/n**(v-1)]``."""
-    if tau1 <= 0:
-        raise ValueError("tau1 must be positive")
-    if n < 2:
-        raise InvalidDivisor("scale divisor must be >= 2")
-    if v < 1:
-        raise ValueError("need at least one layer")
     return [tau1 / n**k for k in range(v)]
 
 
@@ -178,15 +170,7 @@ def auto_tau1(ts: TrainingSet) -> float:
 
 def layer_tradeoff(residuals: NDArray, s_factor: float) -> float:
     """Loss weight for the next layer: s_factor times the residual variance."""
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.size == 0:
-        raise ValueError("residuals must be non-empty")
-    if not (0 < s_factor <= 5):
-        raise ValueError("s_factor must lie in (0, 5]")
-    variance = float(np.var(residuals))
-    if variance == 0.0:
-        raise ZeroVariance("constant residuals")
-    return s_factor * variance
+    return s_factor * float(np.var(residuals))
 
 
 def prune_set(
@@ -198,21 +182,13 @@ def prune_set(
     inside it (``|r| < eps / n``).  The border test uses |r| so both tube
     sides count.  An empty result is legal and skips the second pass.
     """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    if n < 2:
-        raise InvalidDivisor("scale divisor must be >= 2")
-    if tp <= 0:
-        raise ValueError("tp must be positive")
-    r = np.abs(np.asarray(residuals_after, dtype=float).ravel())
+    r = np.abs(residuals_after)
     keep = (np.abs(r - eps) < tp) | (r < eps / n)
     return np.flatnonzero(keep)
 
 
 def second_pass_tradeoff(b_v: float, full_size: int, pruned_size: int) -> float:
     """Rescaled loss weight ``b_v * |TS| / |TS'|`` for the pruned refit."""
-    if pruned_size < 1:
-        raise EmptyPrunedSet("cannot rescale for an empty kept set")
     return b_v * full_size / pruned_size
 
 

@@ -45,7 +45,6 @@ TRAINING_ERRORS = (
     MaxIterationsExceeded,
     hier_mod.ZeroVariance,
     hier_mod.DegenerateDomain,
-    hier_mod.EmptyPrunedSet,
     hier_mod.InvalidDivisor,
     ZeroVarianceTargets,
     np.linalg.LinAlgError,

@@ -203,19 +203,20 @@ class TsvrModel:
 
 
 def gaussian_kernel(x: NDArray, z: NDArray, tau: float) -> NDArray[np.float64]:
-    """K_ij = exp(-||x_i - z_j||^2 / tau^2)."""
+    """K_ij = exp(-||x_i - z_j||^2 / tau^2); 0 where the distance overflows."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if x.shape[1] != z.shape[1]:
         raise ValueError(f"inputs have {x.shape[1]} and {z.shape[1]} columns")
     # Squared distances summed per column in one m x n buffer, then scaled in
     # place: IEEE division is sign-symmetric, so this is exp(-d2 / tau^2).
-    k = np.subtract.outer(x[:, 0], z[:, 0])
-    k *= k
-    for xc, zc in zip(x.T[1:], z.T[1:]):
-        diff = np.subtract.outer(xc, zc)
-        diff *= diff
-        k += diff
+    with np.errstate(over="ignore"):
+        k = np.subtract.outer(x[:, 0], z[:, 0])
+        k *= k
+        for xc, zc in zip(x.T[1:], z.T[1:]):
+            diff = np.subtract.outer(xc, zc)
+            diff *= diff
+            k += diff
     np.divide(k, -(tau * tau), out=k)
     return np.exp(k, out=k)
 
@@ -346,15 +347,12 @@ def subset_design(design: Design, indices: NDArray[np.intp]) -> Design:
                           design.pivot_points, design.pivot_factor)
 
 
-def _dual_hessian(ts: TrainingSet, j: NDArray, ridge: float) -> LowRankHessian:
+def _dual_hessian(j: NDArray, ridge: float) -> LowRankHessian:
     """H = J (J'J + ridge I)^-1 J' as its factors J and X = (J'J + ridge I)^-1 J'.
 
-    J is the design of the rows of ``ts``.  X comes from one SPD solve, never
+    J is the design of the training rows.  X comes from one SPD solve, never
     an inverse; H itself is never formed.
     """
-    j = np.asarray(j, dtype=float)
-    if j.shape[0] != ts.m:
-        raise ValueError("design matrix row count must equal sample count")
     m_small = j.T @ j + ridge * np.eye(j.shape[1])
     return LowRankHessian(j, solve_spd(m_small, j.T))
 
@@ -365,7 +363,7 @@ def assemble_dual_down(ts: TrainingSet, params: TsvrParams, j: NDArray) -> BoxQp
     ``min 1/2 a'Ha + c'a`` over ``[0, p1]`` with ``H = J(J'J + p3 I)^-1 J'``
     and ``c = eps1*1 + Y - H Y``; the negated maximization objective.
     """
-    h = _dual_hessian(ts, j, params.p3)
+    h = _dual_hessian(j, params.p3)
     c = params.eps1 + ts.y - h @ ts.y
     return BoxQp(h, c, np.zeros(ts.m), np.full(ts.m, params.p1))
 
@@ -376,7 +374,7 @@ def assemble_dual_up(ts: TrainingSet, params: TsvrParams, j: NDArray) -> BoxQp:
     ``min 1/2 g'Hg + c'g`` over ``[0, p2]`` with ``H = J(J'J + p4 I)^-1 J'``
     and ``c = H Y - Y + eps2*1``.
     """
-    h = _dual_hessian(ts, j, params.p4)
+    h = _dual_hessian(j, params.p4)
     c = h @ ts.y - ts.y + params.eps2
     return BoxQp(h, c, np.zeros(ts.m), np.full(ts.m, params.p2))
 

@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twinreg.cli import EXIT_DATA, EXIT_OK, EXIT_TRAINING, EXIT_USAGE, main
+from twinreg.model_io import load_model
+from twinreg.search import predict
 
 
 def run(argv):
@@ -35,6 +41,15 @@ class TestGenerate:
         assert (base.parent / "ds_test.csv").exists()
         prov = json.loads((base.parent / "ds_provenance.json").read_text())
         assert prov["spec"]["seed"] == 3
+
+    @pytest.mark.parametrize("flag,value", [("--n-train", "0"), ("--noise-sigma", "-1")])
+    def test_bad_spec_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = run(["generate", "--function", "sinc", "--domain", "0", "1",
+                    flag, value, "--out", str(tmp_path / "ds")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrainPredictEvaluate:
@@ -80,6 +95,43 @@ class TestTrainPredictEvaluate:
         ) == EXIT_OK
         value = float(capsys.readouterr().out.strip())
         assert np.isfinite(value)
+
+    def test_predict_and_evaluate_print_without_out(self, dataset_files, tmp_path,
+                                                    capsys):
+        base = dataset_files
+        model_path = tmp_path / "model.json"
+        run(["train", "--model", "tsvr", "--data", f"{base}_train.csv",
+             "--out", str(model_path)])
+        capsys.readouterr()
+        argv = ["--model-file", str(model_path), "--data", f"{base}_test.csv"]
+        assert run(["predict"] + argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 40
+        assert all(np.isfinite(float(line)) for line in lines)
+        assert run(["evaluate"] + argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["r2"] == pytest.approx(1.0 - payload["nmse"])
+
+    @pytest.mark.parametrize("model,config", [
+        ("hftsvr", "[hierarchy]\nmax_layers = 3\n"),
+        ("tsvr", "[tsvr]\n[kernel]\nkind = gaussian\ntau = 2\n"),
+    ], ids=["hftsvr", "gaussian-tsvr"])
+    @pytest.mark.parametrize("point", ["1e308", "1e200"])
+    def test_far_query_prints_only_its_prediction(self, dataset_files, tmp_path, capsys,
+                                                  model, config, point):
+        # every squared distance overflows to +inf, so each kernel entry is 0
+        ini = tmp_path / "model.ini"
+        ini.write_text(config)
+        model_path = tmp_path / "model.json"
+        assert run(["train", "--model", model, "--data", f"{dataset_files}_train.csv",
+                    "--config", str(ini), "--out", str(model_path)]) == EXIT_OK
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["predict", "--model-file", str(model_path), "--point", point])
+            expected = float(predict(load_model(model_path), np.array([float(point)])))
+        assert code == EXIT_OK and caught == []
+        assert capsys.readouterr() == (f"{expected!r}\n", "")
 
     def test_hierarchy_training_with_config(self, dataset_files, tmp_path):
         base = dataset_files
@@ -232,6 +284,18 @@ class TestBenchmark:
         assert (outdir / "report.json").exists()
         assert "eps-TSVR" in capsys.readouterr().out
 
+    def test_suite_without_outdir_prints_table_then_json(self, tmp_path, capsys):
+        suite = tmp_path / "suite.ini"
+        suite.write_text(
+            "[suite]\ndatasets = power_two_thirds\nregressors = tsvr\nn_seeds = 1\n"
+            "[grid]\nexponent_low = -2\nexponent_high = 2\nexponent_step = 2\n"
+        )
+        assert run(["benchmark", "--suite", str(suite)]) == EXIT_OK
+        table, brace, document = capsys.readouterr().out.partition("\n{")
+        assert "eps-TSVR" in table
+        assert json.loads(brace.lstrip() + document)["rows"]
+        assert list(tmp_path.iterdir()) == [suite]
+
     @pytest.mark.parametrize(
         "line", ["regressors = svr", "datasets = power_two_thirds, mystery"]
     )
@@ -318,16 +382,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_model_with_non_finite_value_is_not_written(self, tmp_path, capsys):
-        # the fit's residual norm would overflow, so the fit is refused first
-        data = tmp_path / "spike.csv"
-        data.write_text("x1,y\n" + "0,0\n" * 4 + "0,1.6678e168\n")
-        out = tmp_path / "m.json"
-        with np.errstate(all="ignore"):
-            code = run(["train", "--model", "tsvr", "--data", str(data), "--out", str(out)])
+    def test_model_into_missing_directory_is_one_data_error(self, tmp_path, capsys):
+        data = tmp_path / "line.csv"
+        data.write_text("x1,y\n" + "".join(f"{i},{2 * i}\n" for i in range(6)))
+        out = tmp_path / "absent" / "m.json"
+        code = run(["train", "--model", "tsvr", "--data", str(data), "--out", str(out)])
         assert code == EXIT_DATA
-        assert "squared norm overflows" in capsys.readouterr().err
-        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("twinreg: data error: cannot write") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["line.csv"]
 
     @pytest.mark.parametrize(
         "rows",
@@ -523,3 +586,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "non-finite" in captured.err
         assert captured.out == ""
+
+    def test_closed_stdout_ends_quietly(self, line_model, tmp_path):
+        # about 200 KB of predictions, well past a 64 KiB pipe buffer
+        data = tmp_path / "many.csv"
+        data.write_text("x1,y\n" + "".join(f"{i / 10000},0\n" for i in range(10000)))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twinreg.cli", "predict",
+             "--model-file", str(line_model), "--data", str(data)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_OK
+        assert float(first) == pytest.approx(0.0, abs=0.1)
+        assert err == b""

@@ -141,11 +141,13 @@ class TestHierarchy:
         "[hierarchy]\ns_factor = 9\n",
         "[hierarchy]\npruning_enabled = maybe\n",
         "[hierarchy]\neps = inf\n",
+        "[hierarchy]\neps = -0.1\n",
         "[hierarchy]\ntau1 = inf\n",
         "[hierarchy]\ntau1 = 0\n",
         "[hierarchy]\ntau1 = -1\n",
         "[hierarchy]\nscale_divisor = nan\n",
         "[hierarchy]\ntube_tolerance = inf\n",
+        "[hierarchy]\ntube_tolerance = 0\n",
         "[hierarchy]\nstop_residual_var = nan\n",
         "[hierarchy]\nstop_rel_improvement = inf\n",
         "[hierarchy]\np3 = inf\n",

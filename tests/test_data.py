@@ -298,3 +298,18 @@ class TestUci:
         path.write_bytes(b"E,B,5,4,\xff\n")
         with pytest.raises(DataError, match="unreadable"):
             loader(path)
+
+    @pytest.mark.parametrize("loader", [load_uci_servo, load_uci_auto_price])
+    def test_empty_file_is_data_error(self, tmp_path, loader):
+        path = tmp_path / "uci.data"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            loader(path)
+
+    def test_auto_price_without_a_complete_row_is_data_error(self, tmp_path):
+        cols = ["0"] * 26
+        cols[25] = "?"
+        path = tmp_path / "imports-85.data"
+        path.write_text((",".join(cols) + "\n") * 3)
+        with pytest.raises(DataError, match="no complete rows"):
+            load_uci_auto_price(path)

