@@ -241,6 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--point" in argv[:-1]:  # argparse reads a value like -1e2 as a flag
+        i = argv.index("--point")
+        argv[i:i + 2] = [f"--point={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

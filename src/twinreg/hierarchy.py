@@ -6,10 +6,15 @@ v fits the residual left by layers 1..v-1 with kernel scale
 After the first fit of each layer, points far from the epsilon tube are
 pruned and the layer is refit on the kept set with the loss weight scaled up
 by the kept fraction's inverse, which cuts support vectors without giving up
-accuracy; both passes are one fit step on a set of rows.  The final
-prediction is the sum over layers.  Values are checked where outside input
-enters (``twinreg.__all__``, the CLI, INI and model files), here by
-:class:`HierarchyConfig`, so the layer rules are bare formulas.
+accuracy; both passes are one fit step on a set of rows.  The refit is kept
+only if it retains 25 % of the first pass's variance reduction, a share that
+is this implementation's rule, not the paper's: at the tuned sinc cell it was
+kept on layer 1 in 9 of 10 seeds and on no finer layer (NMSE 0.02050, 0.02053
+with no refit, 0.632 with a share of 0).  The final prediction is the sum over
+layers.  Values are checked where outside input enters (``twinreg.__all__``,
+the CLI, INI and model files), here by :class:`HierarchyConfig`, so the layer
+rules are bare formulas.  Model files hold no training state: a loaded
+hierarchy has no ``training_report`` and its layers' models no diagnostics.
 
 Every layer trains in the reduced eigenbasis of its kernel matrix (see
 :mod:`twinreg.tsvr`); the report row of each layer carries its
@@ -123,21 +128,13 @@ class HierarchyConfig:
 
 @dataclass(frozen=True)
 class LayerState:
-    """One trained layer and its bookkeeping.
-
-    ``pruned_indices`` is the tube-proximity set the pruning rule selected
-    (the candidate support vectors); ``second_pass_adopted`` records whether
-    the refit on that set actually replaced the full-set model.
-    """
+    """One trained layer: its index v, scale tau_v and model.  Its loss
+    weights, prune set size and whether the refit was adopted are kept once,
+    in the layer's row of the training report."""
 
     index: int
     tau: float
-    b_v: float
-    b_v_prime: float
     model: TsvrModel
-    pruned_indices: NDArray[np.intp]
-    residual_variance_in: float
-    second_pass_adopted: bool = False
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,7 @@ class HfTsvrModel:
     layers: tuple[LayerState, ...]
     config: HierarchyConfig
     input_dim: int
-    training_report: dict = field(default_factory=dict)
+    training_report: dict | None = field(default=None, metadata={"saved": False})
 
     def support_vector_count(self) -> int:
         """Support vectors summed over the layers."""
@@ -299,8 +296,8 @@ def train_hierarchy(
                     design.factor,
                 )
                 # The refit is a support-vector optimization, not a mandate:
-                # adopt it only while it retains a meaningful share of the
-                # first-pass improvement (a near-empty tube can select an
+                # adopt it only while it retains a quarter of the first-pass
+                # improvement (a near-empty tube can select an
                 # unrepresentative subset whose refit memorizes a few points).
                 if var_in - var_second >= 0.25 * (var_in - var_out):
                     model_v, rank, adopted = second, second_design.rank, True
@@ -314,18 +311,7 @@ def train_hierarchy(
             stop_reason = "no_improvement"
             break
 
-        layers.append(
-            LayerState(
-                index=v,
-                tau=tau,
-                b_v=b_v,
-                b_v_prime=b_v_prime,
-                model=model_v,
-                pruned_indices=pruned,
-                residual_variance_in=var_in,
-                second_pass_adopted=adopted,
-            )
-        )
+        layers.append(LayerState(index=v, tau=tau, model=model_v))
         rows.append(
             {
                 "layer": v,

@@ -1,23 +1,28 @@
 """Versioned JSON serialization for trained models.
 
 The on-disk record is the JSON object
-``{"format_version": 1, "kind": K, "checksum": C, "payload": P}``, written in
+``{"format_version": 2, "kind": K, "checksum": C, "payload": P}``, written in
 that order with the payload last.  P is the canonical payload encoding (sorted
 keys, no whitespace) and C is the SHA-256 of its text.  Floats are stored via
 ``repr`` round-tripping (JSON numbers), so reloaded models predict identically.
 
 Loading verifies the checksum one of two ways.  A file laid out exactly as
-``save_model`` writes it is checked by hashing its payload bytes as they stand,
-and only those bytes are parsed and decoded.  Any other file (an older writer,
-or one rewritten by ``json.dumps``) is parsed whole, and its payload is
-re-encoded canonically and hashed.  The two judge a file alike whenever its
-payload text is canonical, as in every file ``save_model`` writes; they differ
-only on a file in that exact layout whose checksum was taken over a
-non-canonical payload text, which the byte hash accepts.  Loading refuses
-unknown versions and corrupt files.
+``save_model`` writes it, at version 1 or 2, is checked by hashing its payload
+bytes as they stand, and only those bytes are parsed and decoded.  Any other
+file (an older writer, or one rewritten by ``json.dumps``) is parsed whole,
+and its payload is re-encoded canonically and hashed.  The two judge a file
+alike whenever its payload text is canonical, as in every file ``save_model``
+writes; they differ only on a file in that exact layout whose checksum was
+taken over a non-canonical payload text, which the byte hash accepts.
+Loading refuses unknown versions and corrupt files.
 
 The payload holds the model's dataclass fields by name and is read back by
 their types, so a missing field or a value of the wrong JSON type is corrupt.
+Fields marked ``metadata={"saved": False}`` are training state that files
+do not hold, so a loaded model has no diagnostics and no training report:
+version 2 holds what prediction reads, and ``params`` and ``config`` as
+provenance.  A version-1 payload holds all that and the training state, so
+it loads through the same reader, which skips the extra keys.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from .hierarchy import HfTsvrModel
 from .tsvr import TsvrModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _KINDS = {"tsvr": TsvrModel, "hftsvr": HfTsvrModel}
 
 
@@ -53,10 +58,15 @@ class CorruptModel(Exception):
     """Checksum failure or structurally invalid record."""
 
 
+def _saved_fields(cls_or_value) -> list:
+    """The dataclass fields a model file holds: all but those marked unsaved."""
+    return [f for f in fields(cls_or_value) if f.metadata.get("saved", True)]
+
+
 def _encode(value):
     """A model, or any value inside one, as JSON-ready data, field by field."""
     if is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: _encode(getattr(value, f.name)) for f in _saved_fields(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, tuple):
@@ -94,10 +104,11 @@ def _converter(hint) -> Callable:
 def _reader(cls) -> Callable:
     """A function from a payload dict to ``cls``, built once from its field types.
 
-    Every field must be present; a missing one would silently take its default.
+    Every saved field must be present (a missing one would silently take its
+    default); unsaved fields take theirs, and other keys are ignored.
     """
     hints = typing.get_type_hints(cls)
-    converters = [(f.name, _converter(hints[f.name])) for f in fields(cls)]
+    converters = [(f.name, _converter(hints[f.name])) for f in _saved_fields(cls)]
 
     def read(payload):
         return cls(**{name: convert(payload[name]) for name, convert in converters})
@@ -117,10 +128,10 @@ def _checksum(payload: dict) -> str:
     return _sha256(_canonical(payload))
 
 
-# The header save_model writes before the canonical payload text; the file ends
-# with the "}" that closes the record.
+# The header save_model writes, and wrote at version 1, before the canonical
+# payload text; the file ends with the "}" that closes the record.
 _SIGNED_HEAD = re.compile(
-    rf'\{{"format_version": {FORMAT_VERSION}, "kind": "(?P<kind>\w+)", '
+    rf'\{{"format_version": (?:1|{FORMAT_VERSION}), "kind": "(?P<kind>\w+)", '
     r'"checksum": "(?P<checksum>[0-9a-f]{64})", "payload": '
 )
 
@@ -176,10 +187,10 @@ def _verified_payload(text: str, path) -> tuple[object, object]:
         raise CorruptModel(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(record, dict) or "format_version" not in record:
         raise CorruptModel(f"{path}: not a model record")
-    if record["format_version"] != FORMAT_VERSION:
+    if record["format_version"] not in (1, FORMAT_VERSION):
         raise SchemaVersionMismatch(
             f"{path}: format_version {record['format_version']}, "
-            f"supported {FORMAT_VERSION}"
+            f"supported 1 and {FORMAT_VERSION}"
         )
     payload = record.get("payload")
     if payload is None or record.get("checksum") != _checksum(payload):

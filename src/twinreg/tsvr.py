@@ -163,8 +163,9 @@ class TsvrModel:
     (coefficients over ``basis``) in kernel mode.  ``basis`` holds the m
     training inputs, or the pivots of their kernel factor for a model
     re-expressed by :func:`on_pivots`; the dual vectors in ``diagnostics``
-    stay over the m training rows either way.  Immutable; safe to share
-    across threads.
+    stay over the m training rows either way.  Files do not hold
+    ``diagnostics``: a loaded model has None, so :meth:`support_vector_count`
+    needs a trained one.  Immutable; safe to share across threads.
     """
 
     w1: NDArray[np.float64]
@@ -175,7 +176,7 @@ class TsvrModel:
     params: TsvrParams
     basis: NDArray[np.float64] | None
     input_dim: int
-    diagnostics: TsvrDiagnostics
+    diagnostics: TsvrDiagnostics | None = field(default=None, metadata={"saved": False})
 
     def __post_init__(self):
         if (self.basis is None) == (self.kernel.kind == "gaussian"):
@@ -191,9 +192,6 @@ class TsvrModel:
         width = self.input_dim if self.basis is None else len(self.basis)
         if self.w1.shape != (width,) or self.w2.shape != (width,):
             raise ValueError(f"weights do not have length {width}")
-        alpha, gamma = self.diagnostics.alpha, self.diagnostics.gamma
-        if alpha.ndim != 1 or alpha.shape != gamma.shape or alpha.size == 0:
-            raise ValueError("alpha and gamma must be non-empty vectors of equal length")
 
     def support_vector_count(self) -> int:
         """Points whose down- or up-multiplier exceeds 1e-6 of its bound."""

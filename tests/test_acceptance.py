@@ -249,9 +249,9 @@ def test_criterion_7_pruning_quality(sinc_runs):
         one_pass.append(
             metrics(ds.test.y, hier_mod.predict_hierarchy(unpruned, ds.test.a)).nmse
         )
-        for layer in model.layers:
+        for row in model.training_report["layers"]:
             total_layers += 1
-            pruned_layers += layer.pruned_indices.size < ds.train.m
+            pruned_layers += row["prune_set_size"] < row["total_points"]
     ratio = float(np.mean(two_pass)) / float(np.mean(one_pass))
     assert ratio <= 1.5, f"two-pass/one-pass NMSE ratio {ratio:.3f} exceeds 1.5"
     assert pruned_layers * 2 >= total_layers, (
@@ -269,12 +269,10 @@ def test_criterion_8_hierarchy_identities(sinc_runs):
     for ds, model, _ in runs:
         x = rng.uniform(-4 * np.pi, 4 * np.pi, size=(100, 1))
         total = np.zeros(100)
-        for layer in model.layers:
+        for layer, row in zip(model.layers, model.training_report["layers"], strict=True):
             total += np.asarray(tsvr_mod.predict(layer.model, x))
-            assert layer.b_v_prime >= layer.b_v
-            assert layer.pruned_indices.size <= ds.train.m
-            assert np.all(layer.pruned_indices >= 0)
-            assert np.all(layer.pruned_indices < ds.train.m)
+            assert row["b_v_prime"] >= row["b_v"]
+            assert row["prune_set_size"] <= row["total_points"] == ds.train.m
         gap = float(np.max(np.abs(
             np.asarray(hier_mod.predict_hierarchy(model, x)) - total
         )))

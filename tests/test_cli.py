@@ -96,6 +96,27 @@ class TestTrainPredictEvaluate:
         value = float(capsys.readouterr().out.strip())
         assert np.isfinite(value)
 
+    @pytest.mark.parametrize("row, point", [
+        (lambda i: f"{i},{2 * i}", "-1e2"),
+        (lambda i: f"{i},{i % 3},{2 * i}", "-1,0.5"),
+    ], ids=["one-input", "two-inputs"])
+    def test_point_with_leading_minus(self, tmp_path, capsys, row, point):
+        # argparse alone reads such a value as a flag, unlike --point=VALUE
+        data = tmp_path / "rows.csv"
+        width = row(0).count(",")
+        header = ",".join(f"x{j + 1}" for j in range(width))
+        data.write_text(f"{header},y\n" + "".join(f"{row(i)}\n" for i in range(6)))
+        model_path = tmp_path / "model.json"
+        assert run(["train", "--model", "tsvr", "--data", str(data),
+                    "--out", str(model_path)]) == EXIT_OK
+        capsys.readouterr()
+        printed = []
+        for argv in (["--point", point], [f"--point={point}"]):
+            assert run(["predict", "--model-file", str(model_path)] + argv) == EXIT_OK
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+        assert printed[0].err == "" and np.isfinite(float(printed[0].out))
+
     def test_predict_and_evaluate_print_without_out(self, dataset_files, tmp_path,
                                                     capsys):
         base = dataset_files
@@ -510,7 +531,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fault", [
         "gaussian_without_basis", "basis_too_wide", "flat_basis",
-        "linear_with_basis", "alpha_short",
+        "linear_with_basis",
     ])
     def test_resigned_inconsistent_basis_is_data_error(self, tmp_path, capsys, fault):
         from twinreg import tsvr
@@ -529,10 +550,8 @@ class TestExitCodes:
             payload["basis"] = [row + [0.0] for row in payload["basis"]]
         elif fault == "flat_basis":
             payload["basis"] = [row[0] for row in payload["basis"]]
-        elif fault == "linear_with_basis":
-            payload["basis"] = [[0.0]]
         else:
-            payload["diagnostics"]["alpha"] = payload["diagnostics"]["alpha"][:3]
+            payload["basis"] = [[0.0]]
         record["checksum"] = _checksum(payload)
         model.write_text(json.dumps(record))
         assert run(

@@ -137,9 +137,9 @@ class TestTrainHierarchy:
         config = HierarchyConfig(max_layers=1, pruning_enabled=False, eps=0.1)
         model = train_hierarchy(ds.train, config)
         assert len(model.layers) == 1
-        layer = model.layers[0]
+        layer, row = model.layers[0], model.training_report["layers"][0]
         params = TsvrParams(
-            p1=layer.b_v, p2=layer.b_v, p3=0.1, p4=0.1,
+            p1=row["b_v"], p2=row["b_v"], p3=0.1, p4=0.1,
             eps1=0.1, eps2=0.1, kernel=KernelSpec("gaussian", layer.tau),
         )
         design = tsvr.make_design(ds.train, params.kernel)
@@ -177,12 +177,12 @@ class TestTrainHierarchy:
         ds = small_sinc_dataset(seed=3)
         model = train_hierarchy(ds.train, HierarchyConfig(max_layers=5))
         m = ds.train.m
-        for layer in model.layers:
-            assert layer.b_v_prime >= layer.b_v
-            assert layer.pruned_indices.size <= m
-            assert np.all(layer.pruned_indices >= 0)
-            assert np.all(layer.pruned_indices < m)
-            assert layer.pruned_indices.size == np.unique(layer.pruned_indices).size
+        for row in model.training_report["layers"]:
+            assert row["b_v_prime"] >= row["b_v"]
+            assert row["prune_set_size"] <= row["total_points"] == m
+            if row["second_pass_adopted"]:
+                assert 0 < row["prune_set_size"] < m
+                assert row["b_v_prime"] == row["b_v"] * m / row["prune_set_size"]
 
     def test_residual_bookkeeping_matches_recomputation(self):
         ds = small_sinc_dataset(seed=4)
@@ -213,9 +213,9 @@ class TestTrainHierarchy:
             np.asarray(predict_hierarchy(a, x)), np.asarray(predict_hierarchy(b, x))
         )
         assert len(a.layers) == len(b.layers)
-        for la, lb in zip(a.layers, b.layers):
-            assert la.b_v == lb.b_v
-            assert la.b_v_prime == lb.b_v_prime
+        for ra, rb in zip(a.training_report["layers"], b.training_report["layers"]):
+            assert ra["b_v"] == rb["b_v"]
+            assert ra["b_v_prime"] == rb["b_v_prime"]
 
     def test_variance_floor_stops_training(self):
         ds = small_sinc_dataset(seed=7)

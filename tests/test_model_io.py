@@ -22,6 +22,10 @@ from twinreg.model_io import (
 from twinreg.tsvr import KernelSpec, TrainingSet, TsvrParams
 
 GOLDEN = Path(__file__).parent / "data"
+TSVR_KEYS = {"w1", "b1", "w2", "b2", "kernel", "params", "basis", "input_dim"}
+# What a version-1 layer held besides its index, scale and model.
+V1_LAYER_STATE = {"b_v", "b_v_prime", "pruned_indices", "residual_variance_in",
+                  "second_pass_adopted"}
 
 
 def linear_model(seed=0):
@@ -43,6 +47,19 @@ def hierarchy_model(seed=2):
     return hier_mod.train_hierarchy(ds.train, HierarchyConfig(max_layers=3))
 
 
+def without_training_state(payload):
+    """A version-1 payload less the keys that version 2 does not save."""
+    if "layers" not in payload:
+        return {key: value for key, value in payload.items() if key != "diagnostics"}
+    layers = [
+        {**{key: value for key, value in layer.items() if key not in V1_LAYER_STATE},
+         "model": without_training_state(layer["model"])}
+        for layer in payload["layers"]
+    ]
+    kept = {key: value for key, value in payload.items() if key != "training_report"}
+    return {**kept, "layers": layers}
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("factory", [linear_model, kernel_model])
     def test_tsvr_predictions_identical(self, tmp_path, factory):
@@ -52,25 +69,17 @@ class TestRoundTrip:
         loaded = load_model(path)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(100, model.input_dim))
-        np.testing.assert_allclose(
-            tsvr.predict(loaded, x), tsvr.predict(model, x), atol=1e-12
-        )
+        assert np.array_equal(tsvr.predict(loaded, x), tsvr.predict(model, x))
 
-    def test_tsvr_diagnostics_preserved(self, tmp_path):
-        model = linear_model()
+    @pytest.mark.parametrize("factory", [linear_model, kernel_model])
+    def test_tsvr_keeps_params_not_diagnostics(self, tmp_path, factory):
+        model = factory()
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        np.testing.assert_array_equal(
-            loaded.diagnostics.alpha, model.diagnostics.alpha
-        )
-        np.testing.assert_array_equal(
-            loaded.diagnostics.gamma, model.diagnostics.gamma
-        )
-        assert loaded.diagnostics.xi_star_norm == model.diagnostics.xi_star_norm
-        assert loaded.diagnostics.dual_objective_down == \
-            model.diagnostics.dual_objective_down
+        assert model.diagnostics is not None and loaded.diagnostics is None
         assert loaded.params == model.params
+        assert loaded.kernel == model.kernel
 
     def test_hierarchy_round_trip(self, tmp_path):
         model = hierarchy_model()
@@ -80,18 +89,39 @@ class TestRoundTrip:
         assert len(loaded.layers) == len(model.layers)
         rng = np.random.default_rng(4)
         x = rng.uniform(-12, 12, size=(100, 1))
-        np.testing.assert_allclose(
-            hier_mod.predict_hierarchy(loaded, x),
-            hier_mod.predict_hierarchy(model, x),
-            atol=1e-12,
-        )
+        assert np.array_equal(hier_mod.predict_hierarchy(loaded, x),
+                              hier_mod.predict_hierarchy(model, x))
+        assert loaded.config == model.config
+        assert model.training_report["layers"] and loaded.training_report is None
         for la, lb in zip(loaded.layers, model.layers):
-            assert la.b_v == lb.b_v
-            assert la.b_v_prime == lb.b_v_prime
-            assert la.second_pass_adopted == lb.second_pass_adopted
-            np.testing.assert_array_equal(la.pruned_indices, lb.pruned_indices)
-        assert loaded.training_report["stop_reason"] == \
-            model.training_report["stop_reason"]
+            assert (la.index, la.tau, la.model.params) == (lb.index, lb.tau, lb.model.params)
+            assert la.model.diagnostics is None
+
+    def test_payload_holds_what_prediction_reads(self, tmp_path):
+        path = tmp_path / "model.json"
+        for factory in (linear_model, kernel_model):
+            save_model(factory(), path)
+            record = json.loads(path.read_text())
+            assert record["format_version"] == 2
+            assert set(record["payload"]) == TSVR_KEYS
+        save_model(hierarchy_model(), path)
+        payload = json.loads(path.read_text())["payload"]
+        assert set(payload) == {"layers", "config", "input_dim"}
+        assert payload["layers"]
+        for layer in payload["layers"]:
+            assert set(layer) == {"index", "tau", "model"}
+            assert set(layer["model"]) == TSVR_KEYS
+
+    def test_hierarchy_file_does_not_grow_with_m(self, tmp_path):
+        # the served basis is the layers' factor pivots, about 260 points
+        path = tmp_path / "model.json"
+        sizes = []
+        for m in (1000, 4000):
+            ds = data_mod.generate(data_mod.sinc_spec(seed=0, n_train=m, n_test=10))
+            config = HierarchyConfig(max_layers=6, eps=0.1)
+            save_model(hier_mod.train_hierarchy(ds.train, config), path)
+            sizes.append(path.stat().st_size)
+        assert abs(sizes[1] - sizes[0]) <= 0.1 * sizes[0], sizes
 
 
 class TestFailureModes:
@@ -138,6 +168,7 @@ class TestFailureModes:
         path = tmp_path / "model.json"
         save_model(hierarchy_model(), path)
         record = json.loads(path.read_text())
+        record["format_version"] = 1
         record["payload"]["config"]["base_params"] = None
         record["checksum"] = _checksum(record["payload"])
         path.write_text(json.dumps(record))
@@ -148,7 +179,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("factory", [linear_model, hierarchy_model])
     @pytest.mark.parametrize(
         "mutate",
-        ["drop_b1", "b1_null", "w1_text", "w1_short", "drop_alpha", "drop_kernel_tau"],
+        ["drop_b1", "b1_null", "w1_text", "w1_short", "drop_kernel_tau"],
     )
     def test_resigned_invalid_payload_is_corrupt(self, tmp_path, factory, mutate):
         path = tmp_path / "model.json"
@@ -165,8 +196,6 @@ class TestFailureModes:
             target["w1"] = "weights"
         elif mutate == "w1_short":
             target["w1"] = target["w1"][:-1]
-        elif mutate == "drop_alpha":
-            del target["diagnostics"]["alpha"]
         else:
             del target["params"]["kernel"]["tau"]
         record["checksum"] = _checksum(record["payload"])
@@ -175,7 +204,7 @@ class TestFailureModes:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "mutate", ["drop_config_eps", "tau_text", "pruned_text", "drop_base_p3"]
+        "mutate", ["drop_config_eps", "tau_text", "drop_base_p3"]
     )
     def test_resigned_invalid_hierarchy_record_is_corrupt(self, tmp_path, mutate):
         path = tmp_path / "model.json"
@@ -185,8 +214,6 @@ class TestFailureModes:
             del record["payload"]["config"]["eps"]
         elif mutate == "tau_text":
             record["payload"]["layers"][0]["tau"] = "coarse"
-        elif mutate == "pruned_text":
-            record["payload"]["layers"][1]["pruned_indices"] = "all"
         else:  # base params without p3
             base = dict(record["payload"]["layers"][0]["model"]["params"])
             del base["p3"]
@@ -215,10 +242,10 @@ class TestFailureModes:
         path = tmp_path / "old.json"
         save_model(linear_model(), path)
         record = json.loads(path.read_text())
-        record["payload"]["diagnostics"]["xi_star_norm"] = float("inf")
+        record["payload"]["b1"] = float("inf")
         record["checksum"] = _checksum(record["payload"])
         path.write_text(json.dumps(record))
-        assert load_model(path).diagnostics.xi_star_norm == float("inf")
+        assert load_model(path).b1 == float("inf")
 
     def test_unserializable_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
@@ -293,23 +320,43 @@ class TestSignedLayout:
 
 
 class TestGoldenFiles:
-    """Model files saved by an earlier release of format_version 1."""
+    """Model files saved by an earlier release at format_version 1."""
 
-    @pytest.mark.parametrize(
-        "name, predict",
-        [("tsvr_linear", tsvr.predict), ("hftsvr_sinc", hier_mod.predict_hierarchy)],
-    )
-    def test_load_predict_and_resave(self, tmp_path, name, predict):
-        source = GOLDEN / f"model_{name}_v1.json"
+    CASES = [("tsvr_linear", tsvr.predict), ("hftsvr_sinc", hier_mod.predict_hierarchy)]
+
+    @staticmethod
+    def check(tmp_path, path, name, predict):
+        """The version-1 file ``path`` of the golden model ``name`` predicts its
+        golden values exactly, and resaves as version 2 with the same payload
+        less its training state."""
         expected = json.loads((GOLDEN / "golden_predictions_v1.json").read_text())[name]
-        model = load_model(source)
-        yhat = predict(model, np.array(expected["x"]))
-        assert yhat.tolist() == expected["yhat"]
+        model = load_model(path)
+        assert predict(model, np.array(expected["x"])).tolist() == expected["yhat"]
 
         resaved = tmp_path / "model.json"
         save_model(model, resaved)
-        old, new = json.loads(source.read_text()), json.loads(resaved.read_text())
-        assert new["format_version"] == old["format_version"] == 1
+        old, new = json.loads(path.read_text()), json.loads(resaved.read_text())
+        assert (old["format_version"], new["format_version"]) == (1, 2)
         assert new["kind"] == old["kind"]
-        assert new["payload"] == old["payload"]
-        assert new["checksum"] == old["checksum"]
+        assert new["payload"] == without_training_state(old["payload"])
+        assert new["checksum"] == _checksum(new["payload"])
+
+    @pytest.mark.parametrize("name, predict", CASES)
+    def test_load_predict_and_resave(self, tmp_path, name, predict):
+        # an older key order: the whole record is parsed and re-encoded
+        source = GOLDEN / f"model_{name}_v1.json"
+        assert model_io._signed_payload(source.read_text()) is None
+        self.check(tmp_path, source, name, predict)
+
+    @pytest.mark.parametrize("name, predict", CASES)
+    def test_save_model_layout_at_version_one(self, tmp_path, name, predict):
+        # save_model's layout: the payload bytes are hashed as they stand
+        record = json.loads((GOLDEN / f"model_{name}_v1.json").read_text())
+        kind, payload = record["kind"], record["payload"]
+        source = tmp_path / "v1.json"
+        source.write_text(
+            f'{{"format_version": 1, "kind": "{kind}", "checksum": '
+            f'"{_checksum(payload)}", "payload": {model_io._canonical(payload)}}}'
+        )
+        assert model_io._signed_payload(source.read_text()) is not None
+        self.check(tmp_path, source, name, predict)

@@ -569,7 +569,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("fault", [
         "gaussian_without_basis", "linear_with_basis", "basis_too_wide",
-        "flat_basis", "empty_basis", "alpha_short", "gamma_short",
+        "flat_basis", "empty_basis",
     ])
     def test_model_rejects_an_inconsistent_basis(self, fault):
         from dataclasses import replace
@@ -577,7 +577,6 @@ class TestValidation:
         ts = TrainingSet([[0.0], [1.0], [2.0]], [0.0, 1.0, 0.0])
         gaussian = train(ts, TsvrParams(1, 1, 0.1, 0.1, kernel=KernelSpec("gaussian", 1.0)))
         linear = train(ts, TsvrParams(1, 1, 0.1, 0.1))
-        diag = gaussian.diagnostics
         changes = {
             "gaussian_without_basis": (gaussian, {"basis": None, "w1": np.ones(1),
                                                   "w2": np.ones(1)}),
@@ -586,9 +585,6 @@ class TestValidation:
             "flat_basis": (gaussian, {"basis": np.zeros(3)}),
             "empty_basis": (gaussian, {"basis": np.zeros((0, 1)), "w1": np.ones(0),
                                        "w2": np.ones(0)}),
-            "alpha_short": (gaussian, {"diagnostics": replace(diag, alpha=diag.alpha[:2])}),
-            "gamma_short": (gaussian, {"diagnostics": replace(
-                diag, alpha=diag.alpha[:0], gamma=diag.gamma[:0])}),
         }
         model, fields = changes[fault]
         with pytest.raises(ValueError):
