@@ -2,6 +2,7 @@
 
 Layout:
 
+- :mod:`twinreg.errors`     the failure bases that pick the CLI's exit codes
 - :mod:`twinreg.qp`         SPD solves and the box-constrained QP engine
 - :mod:`twinreg.tsvr`       the twin regressor (linear and Gaussian kernel)
 - :mod:`twinreg.fuzzy`      trapezoidal fuzzy numbers and fuzzy prediction

@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
+from .errors import TRAINING_ERRORS
 from .hierarchy import HierarchyConfig
 from .metrics import METRIC_DEFINITIONS, MetricsReport, metrics
 from .search import (
     REGRESSOR_KINDS,
-    TRAINING_ERRORS,
     GridSpec,
     fit,
     grid_search,

@@ -27,35 +27,17 @@ from .config import (
     suite_from,
     tsvr_params_from,
 )
+from .errors import TRAINING_ERRORS, DataError
 from .fuzzy import defuzzify_set
 from .hierarchy import HierarchyConfig
-from .metrics import LengthMismatch, ZeroVarianceTargets, metrics
-from .search import (
-    REGRESSOR_KINDS,
-    TRAINING_ERRORS,
-    GridSpec,
-    fit,
-    grid_search,
-    predict,
-)
-from .tsvr import DimensionMismatch, NonFiniteVariance, TsvrParams
+from .metrics import metrics
+from .search import REGRESSOR_KINDS, GridSpec, fit, grid_search, predict
+from .tsvr import TsvrParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
-
-_DATA_ERRORS = (
-    data_mod.DataError,
-    DimensionMismatch,
-    LengthMismatch,
-    ZeroVarianceTargets,
-    NonFiniteVariance,
-    model_io.ModelIOError,
-    model_io.SchemaVersionMismatch,
-    model_io.CorruptModel,
-    OSError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +115,7 @@ def _cmd_evaluate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         payload = asdict(metrics(ts.y, yhat))
     if not all(math.isfinite(v) for v in payload.values() if v is not None):
-        raise data_mod.DataError(f"{args.data}: the metrics overflow a float")
+        raise DataError(f"{args.data}: the metrics overflow a float")
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -260,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"twinreg: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"twinreg: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TRAINING_ERRORS as exc:

@@ -32,7 +32,7 @@ from .search import GridSpec
 from .tsvr import KernelSpec, TsvrParams
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 

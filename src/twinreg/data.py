@@ -24,12 +24,9 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import DataError
 from .fuzzy import FuzzySample, TrapezoidalFuzzyNumber
 from .tsvr import TrainingSet
-
-
-class DataError(Exception):
-    """Base class for dataset ingestion failures."""
 
 
 class ParseError(DataError):

@@ -16,18 +16,19 @@ from typing import Sequence
 import numpy as np
 
 from . import tsvr
+from .errors import DataError
 from .tsvr import TrainingSet, TsvrModel, TsvrParams
 
 
-class EmptySet(Exception):
+class EmptySet(DataError):
     """No samples to train on."""
 
 
-class RaggedDimensions(Exception):
+class RaggedDimensions(DataError):
     """Samples disagree on input dimension."""
 
 
-class KernelSpreadUnsupported(Exception):
+class KernelSpreadUnsupported(ValueError):
     """Spread is defined only for the linear inner-product form."""
 
 

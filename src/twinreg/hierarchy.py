@@ -50,18 +50,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import tsvr
+from .errors import TrainingError
 from .tsvr import KernelSpec, NonFiniteVariance, TrainingSet, TsvrModel, TsvrParams
 
 
-class InvalidDivisor(Exception):
-    """Scale divisor below 2."""
-
-
-class DegenerateDomain(Exception):
+class DegenerateDomain(TrainingError):
     """Input domain has zero diameter; no first scale can be derived."""
 
 
-class ZeroVariance(Exception):
+class ZeroVariance(TrainingError):
     """Targets are constant and non-zero; every layer's loss weight is 0."""
 
 
@@ -97,10 +94,8 @@ class HierarchyConfig:
             raise ValueError("max_layers must be >= 1")
         if self.tau1 is not None and not 0 < self.tau1 < np.inf:
             raise ValueError("tau1 must be positive and finite")
-        if not np.isfinite(self.scale_divisor):
-            raise ValueError("scale_divisor must be finite")
-        if self.scale_divisor < 2:
-            raise InvalidDivisor("scale divisor must be >= 2")
+        if not 2 <= self.scale_divisor < np.inf:
+            raise ValueError("scale_divisor must be >= 2 and finite")
         try:  # the finest scale divides by scale_divisor ** (max_layers - 1)
             math.pow(self.scale_divisor, self.max_layers - 1)
         except OverflowError:
@@ -198,12 +193,12 @@ def _fit_pass(ts: TrainingSet, residual: NDArray[np.float64], kept: NDArray[np.i
 
     ``factor`` is the layer's first-pass factor L of all of ``ts``.  With
     ``K(A, S) ~ L L_S'`` the model's fitted values on ``ts`` are
-    ``(L (L_S' (w1 + w2)) + b1 + b2) / 2``, which takes no kernel row; the
-    model is then returned on its design's pivots (:func:`tsvr.on_pivots`).
-    A design without a factor is predicted on ``ts`` instead.
+    ``(L (L_S' (w1 + w2)) + b1 + b2) / 2``, which takes no kernel row.  A
+    design without a factor is predicted on ``ts`` instead.
 
-    Returns the model, the residual it leaves on all of ``ts``, and that
-    residual's variance.
+    Returns the model over its design's basis (the layer re-expresses only
+    the pass it keeps on the pivots), the residual it leaves on all of
+    ``ts``, and that residual's variance.
     """
     p3, p4 = config.regularization()
     params = TsvrParams(
@@ -217,7 +212,6 @@ def _fit_pass(ts: TrainingSet, residual: NDArray[np.float64], kept: NDArray[np.i
     else:
         fitted = 0.5 * (factor @ (design.factor.T @ (model.w1 + model.w2))
                         + (model.b1 + model.b2))
-        model = tsvr.on_pivots(model, design)
     after = residual - fitted
     return model, after, float(np.var(after))
 
@@ -302,6 +296,7 @@ def train_hierarchy(
                 if var_in - var_second >= 0.25 * (var_in - var_out):
                     model_v, rank, adopted = second, second_design.rank, True
                     next_residual, var_out = second_residual, var_second
+        model_v = tsvr.on_pivots(model_v, second_design if adopted else design)
         elapsed = time.perf_counter() - t0
         # Unless the caller shares them, nothing else holds this layer's
         # designs: free them before the next scale is factored.

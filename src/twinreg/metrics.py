@@ -15,13 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import DataError, TrainingError
 
-class LengthMismatch(Exception):
+
+class LengthMismatch(DataError):
     pass
 
 
-class ZeroVarianceTargets(Exception):
-    """NMSE and R2 are undefined for constant targets."""
+class ZeroVarianceTargets(DataError, TrainingError):
+    """NMSE and R2 are undefined for constant targets: bad data to the CLI,
+    a failed cell to a grid search."""
 
 
 METRIC_DEFINITIONS = (

@@ -39,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DataError
 from .hierarchy import HfTsvrModel
 from .tsvr import TsvrModel
 
@@ -46,15 +47,15 @@ FORMAT_VERSION = 2
 _KINDS = {"tsvr": TsvrModel, "hftsvr": HfTsvrModel}
 
 
-class ModelIOError(Exception):
+class ModelIOError(DataError):
     """File could not be read or written."""
 
 
-class SchemaVersionMismatch(Exception):
+class SchemaVersionMismatch(DataError):
     pass
 
 
-class CorruptModel(Exception):
+class CorruptModel(DataError):
     """Checksum failure or structurally invalid record."""
 
 

@@ -28,12 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import TrainingError
 
-class NotPositiveDefinite(Exception):
+
+class NotPositiveDefinite(TrainingError):
     """Symmetric factorization hit a non-positive pivot."""
 
 
-class MaxIterationsExceeded(Exception):
+class MaxIterationsExceeded(TrainingError):
     """QP iteration budget exhausted before the KKT tolerance was met.
 
     Carries the best iterate found (``alpha``) and its ``kkt_residual`` so

@@ -20,9 +20,9 @@ import numpy as np
 from . import data as data_mod
 from . import hierarchy as hier_mod
 from . import tsvr as tsvr_mod
+from .errors import TRAINING_ERRORS, TrainingError
 from .hierarchy import HfTsvrModel, HierarchyConfig
-from .metrics import ZeroVarianceTargets, metrics
-from .qp import MaxIterationsExceeded, NotPositiveDefinite
+from .metrics import metrics
 from .tsvr import KernelSpec, TrainingSet, TsvrModel, TsvrParams
 
 # The regressor kinds and their table labels.
@@ -33,23 +33,8 @@ REGRESSOR_KINDS = {"tsvr": "eps-TSVR", "ftsvr": "eps-FTSVR", "hftsvr": "eps-HFTS
 TIE_TOLERANCE = 1e-12
 
 
-class AllCellsFailed(RuntimeError):
+class AllCellsFailed(TrainingError):
     """Every grid cell failed to train or to score."""
-
-
-# The typed ways that training a model, scoring it or searching a grid can
-# fail.  A grid cell or benchmark run that raises one is recorded and skipped;
-# any other exception is a fault and propagates.
-TRAINING_ERRORS = (
-    NotPositiveDefinite,
-    MaxIterationsExceeded,
-    hier_mod.ZeroVariance,
-    hier_mod.DegenerateDomain,
-    hier_mod.InvalidDivisor,
-    ZeroVarianceTargets,
-    np.linalg.LinAlgError,
-    AllCellsFailed,
-)
 
 
 @dataclass(frozen=True)
@@ -175,9 +160,9 @@ def grid_search(
 
     ``ftsvr`` searches exactly like ``tsvr`` (training is crisp-on-centers);
     ``hftsvr`` searches (S, p3, eps) around ``hierarchy_base``.  A cell whose
-    fit or score raises one of :data:`TRAINING_ERRORS`, or scores non-finite,
-    is recorded and skipped; :class:`AllCellsFailed` is raised if no cell is
-    left.  Deterministic for a fixed seed.
+    fit or score raises one of :data:`twinreg.errors.TRAINING_ERRORS`, or
+    scores non-finite, is recorded and skipped; :class:`AllCellsFailed` is
+    raised if no cell is left.  Deterministic for a fixed seed.
     """
     if regressor_kind not in REGRESSOR_KINDS:
         raise ValueError(f"unknown regressor {regressor_kind!r}")

@@ -52,6 +52,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import DataError
 from .qp import BoxQp, LowRankHessian, QpSolution, solve_box_qp, solve_spd
 
 
@@ -59,11 +60,11 @@ from .qp import BoxQp, LowRankHessian, QpSolution, solve_box_qp, solve_spd
 BUDGET = 2**16
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(DataError):
     """Query point dimension does not match the trained model."""
 
 
-class NonFiniteVariance(Exception):
+class NonFiniteVariance(DataError):
     """The targets overflow a float: their squared norm in a twin regressor's
     fit, or their variance, which scales a hierarchy layer's loss weight."""
 
@@ -165,7 +166,8 @@ class TsvrModel:
     re-expressed by :func:`on_pivots`; the dual vectors in ``diagnostics``
     stay over the m training rows either way.  Files do not hold
     ``diagnostics``: a loaded model has None, so :meth:`support_vector_count`
-    needs a trained one.  Immutable; safe to share across threads.
+    needs a trained one and raises ``ValueError`` on it.  Immutable; safe to
+    share across threads.
     """
 
     w1: NDArray[np.float64]
@@ -196,6 +198,8 @@ class TsvrModel:
     def support_vector_count(self) -> int:
         """Points whose down- or up-multiplier exceeds 1e-6 of its bound."""
         d = self.diagnostics
+        if d is None:
+            raise ValueError("a loaded model has no dual vectors to count")
         active = (d.alpha > 1e-6 * self.params.p1) | (d.gamma > 1e-6 * self.params.p2)
         return int(np.count_nonzero(active))
 

@@ -270,6 +270,7 @@ class TestGridsearch:
         ([], "[grid]\nexponent_high = 1100\n", "twinreg: config error: "),
         ([], "[hierarchy]\nscale_divisor = 1e200\n", "twinreg: config error: "),
         ([], "[hierarchy]\nmax_layers = 5000\n", "twinreg: config error: "),
+        ([], "[hierarchy]\nscale_divisor = 1.5\n", "twinreg: config error: "),
     ])
     def test_overflowing_exponent_or_scale_is_usage_error(self, dataset_files, tmp_path,
                                                           capsys, flags, config, message):

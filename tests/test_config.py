@@ -13,7 +13,7 @@ from twinreg.config import (
     suite_from,
     tsvr_params_from,
 )
-from twinreg.hierarchy import HierarchyConfig, InvalidDivisor
+from twinreg.hierarchy import HierarchyConfig
 from twinreg.search import GridSpec
 from twinreg.tsvr import KernelSpec, TsvrParams
 
@@ -152,16 +152,12 @@ class TestHierarchy:
         "[hierarchy]\nstop_rel_improvement = inf\n",
         "[hierarchy]\np3 = inf\n",
         "[hierarchy]\nscale_divisor = 1e200\n",  # divisor ** (max_layers - 1) overflows
+        "[hierarchy]\nscale_divisor = 1.5\n",
         "[hierarchy]\nmax_layers = 5000\n",
     ])
     def test_bad_values(self, ini, text):
         with pytest.raises(ConfigError):
             hierarchy_config_from(ini(text))
-
-    def test_divisor_below_two_keeps_its_type(self, ini):
-        # the CLI maps InvalidDivisor to the training-failure exit code
-        with pytest.raises(InvalidDivisor):
-            hierarchy_config_from(ini("[hierarchy]\nscale_divisor = 1.5\n"))
 
 
 class TestGrid:

@@ -12,7 +12,6 @@ from twinreg import tsvr
 from twinreg.hierarchy import (
     DegenerateDomain,
     HierarchyConfig,
-    InvalidDivisor,
     NonFiniteVariance,
     ZeroVariance,
     auto_tau1,
@@ -387,7 +386,7 @@ class TestTrainHierarchy:
         assert HierarchyConfig(eps=eps).resolved_tube_tolerance() == tp
 
     def test_config_validation(self):
-        with pytest.raises(InvalidDivisor):
+        with pytest.raises(ValueError, match="scale_divisor must be >= 2"):
             HierarchyConfig(scale_divisor=1.0)
         with pytest.raises(ValueError):
             HierarchyConfig(s_factor=6.0)

@@ -97,6 +97,15 @@ class TestRoundTrip:
             assert (la.index, la.tau, la.model.params) == (lb.index, lb.tau, lb.model.params)
             assert la.model.diagnostics is None
 
+    @pytest.mark.parametrize("factory", [linear_model, hierarchy_model])
+    def test_loaded_model_cannot_count_support_vectors(self, tmp_path, factory):
+        model = factory()
+        assert model.support_vector_count() > 0
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with pytest.raises(ValueError, match="loaded model has no dual vectors"):
+            load_model(path).support_vector_count()
+
     def test_payload_holds_what_prediction_reads(self, tmp_path):
         path = tmp_path / "model.json"
         for factory in (linear_model, kernel_model):
